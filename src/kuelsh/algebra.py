@@ -115,15 +115,6 @@ class Algebra:
         cols = [self.multiply(a, self.basis_vector(j)) for j in range(self.dim)]
         return np.stack(cols, axis=1)
 
-    def right_mult_matrix(self, a):
-        """Matrix of x -> x a."""
-        a = _as_vector(self.field, a, self.dim)
-        F = self.field
-        if F.r == 1:
-            return np.einsum("j,ijk->ki", a, self.const) % F.p
-        cols = [self.multiply(self.basis_vector(i), a) for i in range(self.dim)]
-        return np.stack(cols, axis=1)
-
     def content_hash(self):
         h = hashlib.sha256()
         h.update(repr((self.field.p, self.field.r, self.field.modulus)).encode())

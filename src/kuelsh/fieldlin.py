@@ -6,9 +6,12 @@ deterministic: row reduction pivots left to right and takes the first nonzero
 row, so identical inputs always produce identical bases and representatives.
 
 Matrices are dense int64 numpy arrays of scalar indices.  Over F_2 the
-elimination kernel packs rows into python integers and works by XOR; over
-other prime fields it uses vectorized mod-p arithmetic; extension fields go
-through precomputed operation tables.
+elimination kernel packs each row into uint64 words and clears a pivot column
+with one vectorized XOR of the rows that hit it; over other prime fields it
+updates only the columns right of the pivot, with one mod-p pass per pivot;
+extension fields go through precomputed operation tables.  Prime fields are
+limited to p < 2^31, so every product of two reduced entries plus a reduced
+entry fits in int64.
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ import numpy as np
 from .errors import (
     AmbientMismatch,
     DimensionMismatch,
+    FieldMismatch,
     NonPrimeCharacteristic,
     NotASubspace,
     ReducibleModulus,
 )
 
 _MAX_EXT_ORDER = 512  # extension fields get dense q x q op tables
+_MAX_PRIME = 2**31  # (p-1)^2 + (p-1) < 2^63: int64 products stay exact
 
 
 def _is_prime(n):
@@ -77,6 +82,8 @@ class FiniteField:
     """F_{p^r} with total exact arithmetic on integer-index scalars."""
 
     def __init__(self, p, r=1, modulus=None):
+        if p >= _MAX_PRIME:
+            raise ValueError(f"characteristic {p} out of scope (must be < 2^31)")
         if not _is_prime(p):
             raise NonPrimeCharacteristic(f"{p} is not prime")
         if r < 1:
@@ -276,10 +283,11 @@ class FiniteField:
             return (c * x) % self.p
         return self._MUL[c][x]
 
-    def vouter(self, c, v):
+    def vsub_outer(self, x, c, v):
+        """x - c (x) v for a (k, n) block x, a length-k c and a length-n v."""
         if self.r == 1:
-            return (c[:, None] * v[None, :]) % self.p
-        return self._MUL[c[:, None], v[None, :]]
+            return (x - c[:, None] * v) % self.p
+        return self._SUB[x, self._MUL[c[:, None], v]]
 
     def vfrob(self, x, s=1):
         s %= self.r
@@ -289,18 +297,11 @@ class FiniteField:
 
     def vdot(self, x, y):
         if self.r == 1:
-            return int(np.dot(x, y) % self.p)
+            if x.shape[0] * (self.p - 1) ** 2 < 2**63:
+                return int(np.dot(x, y) % self.p)
+            return int(self.mat_mul(x, y))
         planes = self._DIG[self._MUL[x, y]]
         return self._index(list(planes.sum(axis=0) % self.p))
-
-    def vsum(self, x, axis=None):
-        if self.r == 1:
-            return x.sum(axis=axis) % self.p
-        if axis is None:
-            planes = self._DIG[x].reshape(-1, self.r).sum(axis=0) % self.p
-            return int(planes @ self._ENC)
-        planes = self._DIG[x].sum(axis=axis) % self.p
-        return planes @ self._ENC
 
     def mat_mul(self, a, b):
         """Exact product of index matrices; float64 BLAS when provably exact."""
@@ -315,7 +316,12 @@ class FiniteField:
             if n and n * (self.p - 1) ** 2 < 2**52:
                 prod = a.astype(np.float64) @ b.astype(np.float64)
                 return prod.astype(np.int64) % self.p
-            return (a @ b) % self.p
+            # int64 partial sums of `step` terms, reduced before they can wrap
+            step = (2**63 - self.p) // (self.p - 1) ** 2
+            out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+            for k in range(0, n, step):
+                out = (out + a[:, k : k + step] @ b[k : k + step]) % self.p
+            return out
         pa = np.stack([self._DIG[a][..., t] for t in range(self.r)])
         pb = np.stack([self._DIG[b][..., t] for t in range(self.r)])
         conv = [
@@ -340,11 +346,22 @@ class FiniteField:
         return out
 
 
-def frobenius_power(field, x, s):
-    return field.frobenius(x, s)
-
-
 # -- matrices -------------------------------------------------------------
+
+
+def _in_range(field, arr):
+    """arr with every entry a scalar index 0..q-1.
+
+    Prime-field entries outside that range are reduced mod p; an extension
+    field index outside it names no element and is rejected.
+    """
+    if arr.size and (arr.min() < 0 or arr.max() >= field.q):
+        if field.r > 1:
+            raise FieldMismatch(
+                f"scalar index out of range 0..{field.q - 1} for {field!r}"
+            )
+        arr = arr % field.p
+    return arr
 
 
 def _as_vector(field, v, length=None):
@@ -368,6 +385,7 @@ class Matrix:
             arr = np.asarray(data, dtype=np.int64)
         if arr.ndim != 2:
             raise DimensionMismatch(f"matrix data must be 2-d, got {arr.ndim}-d")
+        arr = _in_range(field, arr)
         arr.setflags(write=False)
         self.field = field
         self.data = arr
@@ -444,30 +462,34 @@ def _rref_gf2(data):
     m, n = data.shape
     if m == 0 or n == 0:
         return data.copy(), []
-    nbytes = (n + 7) // 8
-    packed = np.packbits(data.astype(np.uint8), axis=1, bitorder="little")
-    rows = [int.from_bytes(packed[i].tobytes(), "little") for i in range(m)]
+    # bit j of row i is bit j % 64 of word j // 64, little-endian throughout
+    nwords = (n + 63) // 64
+    packed = np.zeros((m, 8 * nwords), dtype=np.uint8)
+    bits = np.packbits(data.astype(bool), axis=1, bitorder="little")
+    packed[:, : bits.shape[1]] = bits
+    W = packed.view("<u8")
     pivots = []
     row = 0
     for col in range(n):
-        bit = 1 << col
-        pr = next((i for i in range(row, m) if rows[i] & bit), None)
-        if pr is None:
+        w = col // 64
+        hit = np.flatnonzero(W[:, w] & np.uint64(1 << (col % 64)))
+        k = np.searchsorted(hit, row)
+        if k == hit.size:
             continue
-        rows[row], rows[pr] = rows[pr], rows[row]
-        pivrow = rows[row]
-        for i in range(m):
-            if i != row and rows[i] & bit:
-                rows[i] ^= pivrow
+        pr = hit[k]
+        # the pivot row is zero left of `col`, so words below w stay as they are
+        W[np.delete(hit, k), w:] ^= W[pr, w:]
+        if pr != row:
+            W[[row, pr]] = W[[pr, row]]
         pivots.append(col)
         row += 1
         if row == m:
             break
+    # only the first `row` rows are nonzero; the rest stay untouched zero pages
     out = np.zeros((m, n), dtype=np.int64)
-    for i, rint in enumerate(rows):
-        if rint:
-            raw = np.frombuffer(rint.to_bytes(nbytes, "little"), dtype=np.uint8)
-            out[i] = np.unpackbits(raw, bitorder="little")[:n]
+    out[:row] = np.unpackbits(
+        W[:row].view(np.uint8), axis=1, count=n, bitorder="little"
+    )
     return out, pivots
 
 
@@ -485,15 +507,15 @@ def _rref_generic(field, data):
         pr = row + int(nz[0])
         if pr != row:
             R[[row, pr]] = R[[pr, row]]
-        pv = int(R[row, col])
+        # rows at and below `row` are zero left of `col`: only columns col.. change
+        piv = R[row, col:]
+        pv = int(piv[0])
         if pv != 1:
-            R[row] = field.vscale(field.inv(pv), R[row])
-        colvals = R[:, col]
-        others = np.flatnonzero(colvals)
+            piv[:] = field.vscale(field.inv(pv), piv)
+        others = np.flatnonzero(R[:, col])
         others = others[others != row]
         if others.size:
-            piv = R[row].copy()
-            R[others] = field.vsub(R[others], field.vouter(colvals[others], piv))
+            R[others, col:] = field.vsub_outer(R[others, col:], R[others, col], piv)
         pivots.append(col)
         row += 1
     return R, pivots
@@ -570,7 +592,7 @@ class Subspace:
         elif isinstance(rows, Matrix):
             data = rows.data
         else:
-            arr = np.asarray(rows, dtype=np.int64)
+            arr = _in_range(field, np.asarray(rows, dtype=np.int64))
             if arr.size == 0:
                 data = arr.reshape(0, ambient_dim)
             else:
@@ -609,11 +631,17 @@ class Subspace:
             raise AmbientMismatch("subspaces live in different ambient spaces")
 
     def reduce(self, v):
-        """Canonical representative of v modulo this subspace."""
-        v = _as_vector(self.field, v, self.ambient_dim)
+        """Canonical representative modulo this subspace of a vector, or of
+        each row of a (k, n) block."""
+        v = np.asarray(v, dtype=np.int64)
+        if v.ndim not in (1, 2) or v.shape[-1] != self.ambient_dim:
+            raise DimensionMismatch(
+                f"expected rows of length {self.ambient_dim}, got shape {v.shape}"
+            )
+        v = _in_range(self.field, v)
         if self.dim == 0:
             return v.copy()
-        coeffs = v[list(self.pivots)]
+        coeffs = v[..., list(self.pivots)]
         return self.field.vsub(v, self.field.mat_mul(coeffs, self.basis.data))
 
     def contains_vector(self, v):
@@ -621,7 +649,7 @@ class Subspace:
 
     def contains(self, other):
         self._check_ambient(other)
-        return all(self.contains_vector(row) for row in other.basis.data)
+        return not self.reduce(other.basis.data).any()
 
     def coords(self, v):
         """Coordinates of v in the RREF basis; v must lie in the subspace."""
@@ -659,8 +687,7 @@ class Subspace:
             raise NotASubspace("quotient requires the second space inside the first")
         if self.dim == 0:
             return Matrix.zeros(self.field, 0, self.ambient_dim)
-        reduced = np.vstack([other.reduce(row) for row in self.basis.data])
-        R, piv = _rref(self.field, reduced)
+        R, piv = _rref(self.field, other.reduce(self.basis.data))
         return Matrix(self.field, R[: len(piv)], copy=False)
 
     def quotient_map(self, other):

@@ -64,6 +64,16 @@ def test_validate_bad_algebra(tmp_path, capsys):
     assert json.loads(out)["valid"] is False
 
 
+def test_validate_characteristic_out_of_scope(tmp_path, capsys):
+    doc = {"field": {"p": 4294967311}, "dim": 1, "basis": ["1"]}
+    doc["structure_constants"] = [[[1]]]
+    bad = tmp_path / "big_p.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == "" and "out of scope" in err
+
+
 # -- degree0 --------------------------------------------------------------------
 
 

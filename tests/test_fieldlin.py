@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -6,6 +7,7 @@ import pytest
 
 from kuelsh.errors import (
     DimensionMismatch,
+    FieldMismatch,
     NonPrimeCharacteristic,
     NotASubspace,
     ReducibleModulus,
@@ -15,6 +17,8 @@ from kuelsh.fieldlin import (
     Matrix,
     SemilinearMap,
     Subspace,
+    _rref_generic,
+    _rref_gf2,
     preimage,
     row_reduce,
 )
@@ -23,6 +27,7 @@ F2 = FiniteField(2)
 F3 = FiniteField(3)
 F4 = FiniteField(2, 2, [1, 1, 1])
 F5 = FiniteField(5)
+F7 = FiniteField(7)
 F9 = FiniteField(3, 2, [1, 0, 1])  # x^2 + 1, irreducible over F_3
 
 
@@ -344,3 +349,188 @@ def test_matrix_matmul_ext_field():
             for k in range(4):
                 acc = F4.add(acc, F4.mul(int(A.data[i, k]), int(B.data[k, j])))
             assert C.data[i, j] == acc
+
+
+# -- elimination kernels against a pure-python reference -------------------
+
+
+def ref_rref(F, rows, n):
+    """Gauss-Jordan on python lists with the field's scalar operations (plain
+    mod-p integer arithmetic for prime fields).  Returns the full m x n
+    reduced matrix and the pivot columns."""
+    mul = functools.lru_cache(maxsize=None)(F.mul)
+    sub = functools.lru_cache(maxsize=None)(F.sub)
+    R = [[int(x) for x in r] for r in rows]
+    pivots = []
+    row = 0
+    for col in range(n):
+        pr = next((i for i in range(row, len(R)) if R[i][col]), None)
+        if pr is None:
+            continue
+        R[row], R[pr] = R[pr], R[row]
+        inv = F.inv(R[row][col])
+        R[row] = [mul(inv, x) for x in R[row]]
+        for i, r in enumerate(R):
+            c = r[col]
+            if i != row and c:
+                R[i] = [sub(x, mul(c, y)) for x, y in zip(r, R[row])]
+        pivots.append(col)
+        row += 1
+    return R, pivots
+
+
+def rand_rank(F, m, n, rank, rng):
+    """A dense m x n matrix of exactly the given rank."""
+    if rank == 0:
+        return np.zeros((m, n), dtype=np.int64)
+    # rank independent rows of [I | X] with shuffled columns, mixed by an
+    # invertible lower unitriangular matrix, padded with combinations of them
+    top = np.zeros((rank, n), dtype=np.int64)
+    cols = rng.sample(range(n), n)
+    for i in range(rank):
+        top[i, cols[i]] = 1
+        for j in cols[rank:]:
+            top[i, j] = rng.randrange(F.q)
+    L = np.eye(rank, dtype=np.int64)
+    for i in range(rank):
+        for j in range(i):
+            L[i, j] = rng.randrange(F.q)
+    C = np.array(
+        [[rng.randrange(F.q) for _ in range(rank)] for _ in range(m - rank)],
+        dtype=np.int64,
+    ).reshape(m - rank, rank)
+    indep = F.mat_mul(L, top)
+    out = np.vstack([indep, F.mat_mul(C, indep)])
+    return out[rng.sample(range(m), m)]
+
+
+KERNEL_SHAPES = [(0, n) for n in (1, 63, 64, 65, 130)] + [
+    (1, 1),
+    (3, 1),
+    (20, 63),
+    (70, 63),
+    (30, 64),
+    (66, 64),
+    (40, 65),
+    (67, 65),
+    (50, 130),
+]
+
+
+def kernel_cases(F, rng, shapes=KERNEL_SHAPES):
+    for m, n in shapes:
+        full = min(m, n)
+        for rank in sorted({0, full // 2, full}):
+            yield rand_rank(F, m, n, rank, rng), rank
+
+
+def check_kernel(F, kernel, data, rank):
+    R, piv = kernel(data)
+    ref, ref_piv = ref_rref(F, data.tolist(), data.shape[1])
+    assert piv == ref_piv and len(piv) == rank
+    assert R.shape == data.shape
+    assert R.tolist() == ref
+
+
+def test_rref_gf2_matches_reference():
+    rng = random.Random(2024)
+    for data, rank in kernel_cases(F2, rng, KERNEL_SHAPES + [(133, 130)]):
+        check_kernel(F2, _rref_gf2, data, rank)
+
+
+@pytest.mark.parametrize("F", [F3, F5, F7, F4, F9], ids=repr)
+def test_rref_generic_matches_reference(F):
+    rng = random.Random(F.q)
+    for data, rank in kernel_cases(F, rng):
+        check_kernel(F, lambda d: _rref_generic(F, d), data, rank)
+
+
+def test_rref_largest_prime_matches_reference():
+    F = FiniteField(2**31 - 1)
+    rng = random.Random(31)
+    for data, rank in kernel_cases(F, rng, [(4, 6), (6, 4), (5, 5)]):
+        check_kernel(F, lambda d: _rref_generic(F, d), data, rank)
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4, F9], ids=repr)
+def test_batched_reduce_matches_single_rows(F):
+    rng = random.Random(7 * F.q)
+    for n, wdim, k in [(1, 0, 3), (5, 2, 0), (9, 4, 6), (65, 20, 30), (130, 0, 2)]:
+        W = Subspace(F, n, rand_rank(F, wdim, n, wdim, rng))
+        X = np.array(
+            [[rng.randrange(F.q) for _ in range(n)] for _ in range(k)], dtype=np.int64
+        ).reshape(k, n)
+        block = W.reduce(X)
+        assert block.shape == (k, n)
+        assert block.tolist() == [W.reduce(x).tolist() for x in X]
+        # contains and quotient_basis keep their row-by-row meaning
+        V = W + Subspace(F, n, X)
+        for sub in (W, Subspace(F, n, X)):
+            assert V.contains(sub) == all(V.contains_vector(r) for r in sub.basis.data)
+            assert sub.contains(V) == all(sub.contains_vector(r) for r in V.basis.data)
+        single = [W.reduce(r).tolist() for r in V.basis.data]
+        ref, piv = ref_rref(F, single, n)
+        assert V.quotient_basis(W).data.tolist() == ref[: len(piv)]
+
+
+def test_reduce_rejects_bad_shapes():
+    W = Subspace(F3, 3, [[1, 0, 0]])
+    for bad in ([1, 2], [[1, 2]], np.zeros((1, 1, 3), dtype=np.int64)):
+        with pytest.raises(DimensionMismatch):
+            W.reduce(bad)
+
+
+# -- entries outside 0..q-1 ------------------------------------------------
+
+
+def test_prime_field_entries_are_reduced():
+    assert row_reduce(Matrix(F2, [[2]])).rank == 0
+    assert Subspace(F2, 2, [[2, 1]]).basis.data.tolist() == [[0, 1]]
+    M = Matrix(F3, [[3, 1]])
+    assert M.data.tolist() == [[0, 1]]
+    assert row_reduce(M).rank == 1
+    assert Matrix(F5, [[-1, 12]]).data.tolist() == [[4, 2]]
+    assert Subspace(F3, 2, [[1, 0]]).reduce([[4, -1]]).tolist() == [[0, 2]]
+
+
+def test_extension_field_entries_out_of_range_rejected():
+    with pytest.raises(FieldMismatch):
+        Matrix(F4, [[-1, 7]])
+    with pytest.raises(FieldMismatch):
+        Subspace(F9, 2, [[9, 0]])
+    with pytest.raises(FieldMismatch):
+        Subspace(F4, 2, [[1, 0]]).reduce([0, 4])
+
+
+# -- large characteristic --------------------------------------------------
+
+
+def test_characteristic_bound():
+    for p in (2**31, 4294967311):
+        with pytest.raises(ValueError):
+            FiniteField(p)
+    assert FiniteField(2**31 - 1).p == 2**31 - 1
+
+
+def test_largest_prime_products_exact():
+    p = 2**31 - 1
+    F = FiniteField(p)
+    rng = random.Random(61)
+
+    def entry():
+        return rng.choice([p - 1, rng.randrange(p)])
+
+    for m, k, n in [(1, 2, 1), (3, 7, 2), (2, 1, 4), (2, 0, 3)]:
+        a = [[entry() for _ in range(k)] for _ in range(m)]
+        b = [[entry() for _ in range(n)] for _ in range(k)]
+        want = [
+            [sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(n)]
+            for i in range(m)
+        ]
+        got = F.mat_mul(
+            np.array(a, dtype=np.int64).reshape(m, k),
+            np.array(b, dtype=np.int64).reshape(k, n),
+        )
+        assert got.tolist() == want
+    x = [p - 1] * 5
+    assert F.vdot(np.array(x), np.array(x)) == 5 * (p - 1) ** 2 % p
