@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, FieldMismatch, KuelshError
-from .fieldlin import Matrix, Subspace, _as_vector, _rref, row_reduce
+from .fieldlin import FiniteField, Matrix, Subspace, _as_vector, _in_range, row_reduce
 
 _FORM_EXHAUST_BOUND = 2**20
 _FORM_SAMPLES = 64
@@ -36,8 +36,7 @@ class Algebra:
             raise DimensionMismatch(
                 f"structure constants must be ({d},{d},{d}), got {const.shape}"
             )
-        if field.r == 1:
-            const %= field.p
+        const = _in_range(field, const)
         const.setflags(write=False)
         self.field = field
         self.labels = tuple(labels)
@@ -57,17 +56,11 @@ class Algebra:
         return self.basis_vector(0)
 
     def multiply(self, a, b):
-        a = _as_vector(self.field, a, self.dim)
-        b = _as_vector(self.field, b, self.dim)
-        F = self.field
-        if F.r == 1:
-            return np.einsum("i,j,ijk->k", a, b, self.const) % F.p
-        out = np.zeros(self.dim, dtype=np.int64)
-        for i in np.flatnonzero(a):
-            for j in np.flatnonzero(b):
-                s = F.mul(int(a[i]), int(b[j]))
-                out = F.vadd(out, F.vscale(s, self.const[i, j]))
-        return out
+        F, d = self.field, self.dim
+        a = _as_vector(F, a, d)
+        b = _as_vector(F, b, d)
+        ab = F.vmul(a[:, None], b[None, :]).reshape(d * d)  # a_i b_j
+        return F.mat_mul(ab, self.const.reshape(d * d, d))
 
     def power(self, a, e):
         """a^e by repeated squaring; e >= 1."""
@@ -87,33 +80,18 @@ class Algebra:
     def multiply_basis_left(self, i, v):
         """e_i . v"""
         v = _as_vector(self.field, v, self.dim)
-        F = self.field
-        if F.r == 1:
-            return np.einsum("j,jk->k", v, self.const[i]) % F.p
-        out = np.zeros(self.dim, dtype=np.int64)
-        for j in np.flatnonzero(v):
-            out = F.vadd(out, F.vscale(int(v[j]), self.const[i, j]))
-        return out
+        return self.field.mat_mul(v, self.const[i])
 
     def multiply_basis_right(self, v, j):
         """v . e_j"""
         v = _as_vector(self.field, v, self.dim)
-        F = self.field
-        if F.r == 1:
-            return np.einsum("i,ik->k", v, self.const[:, j]) % F.p
-        out = np.zeros(self.dim, dtype=np.int64)
-        for i in np.flatnonzero(v):
-            out = F.vadd(out, F.vscale(int(v[i]), self.const[i, j]))
-        return out
+        return self.field.mat_mul(v, self.const[:, j])
 
     def left_mult_matrix(self, a):
         """Matrix of x -> a x."""
         a = _as_vector(self.field, a, self.dim)
-        F = self.field
-        if F.r == 1:
-            return np.einsum("i,ijk->kj", a, self.const) % F.p
-        cols = [self.multiply(a, self.basis_vector(j)) for j in range(self.dim)]
-        return np.stack(cols, axis=1)
+        d = self.dim
+        return self.field.mat_mul(a, self.const.reshape(d, d * d)).reshape(d, d).T
 
     def content_hash(self):
         h = hashlib.sha256()
@@ -143,21 +121,15 @@ def algebra_validate(A):
             unit_bad.append(("left", i))
         if not np.array_equal(A.multiply(ei, A.unit()), ei):
             unit_bad.append(("right", i))
-    assoc_bad = []
-    if F.r == 1:
-        lhs = np.einsum("ijt,tkl->ijkl", c, c) % F.p
-        rhs = np.einsum("jkt,itl->ijkl", c, c) % F.p
-        for i, j, k in zip(*np.nonzero((lhs != rhs).any(axis=3))):
-            assoc_bad.append((int(i), int(j), int(k)))
-    else:
-        for i in range(d):
-            for j in range(d):
-                ij = A.const[i, j]
-                for k in range(d):
-                    left = A.multiply(ij, A.basis_vector(k))
-                    right = A.multiply(A.basis_vector(i), A.const[j, k])
-                    if not np.array_equal(left, right):
-                        assoc_bad.append((i, j, k))
+    # (e_i e_j) e_k against e_i (e_j e_k), both as [i, j, k, l] tensors
+    pairs = c.reshape(d * d, d)
+    lhs = F.mat_mul(pairs, c.reshape(d, d * d)).reshape(d, d, d, d)
+    rhs = F.mat_mul(pairs, c.transpose(1, 0, 2).reshape(d, d * d))
+    rhs = rhs.reshape(d, d, d, d).transpose(2, 0, 1, 3)
+    assoc_bad = [
+        (int(i), int(j), int(k))
+        for i, j, k in zip(*np.nonzero((lhs != rhs).any(axis=3)))
+    ]
     return ValidationReport(not unit_bad and not assoc_bad, unit_bad, assoc_bad)
 
 
@@ -209,15 +181,9 @@ class BilinearForm:
     def from_linear_form(cls, A, lam):
         """The form <a, b> = lam(a b)."""
         lam = _as_vector(A.field, lam, A.dim)
-        F = A.field
-        if F.r == 1:
-            g = np.einsum("ijk,k->ij", A.const, lam) % F.p
-        else:
-            g = np.zeros((A.dim, A.dim), dtype=np.int64)
-            for i in range(A.dim):
-                for j in range(A.dim):
-                    g[i, j] = F.vdot(A.const[i, j], lam)
-        return cls(F, Matrix(F, g, copy=False))
+        d = A.dim
+        g = A.field.mat_mul(A.const.reshape(d * d, d), lam).reshape(d, d)
+        return cls(A.field, Matrix(A.field, g, copy=False))
 
     def pairing(self, x, y):
         x = _as_vector(self.field, x, self.gram.rows)
@@ -352,8 +318,12 @@ def trivial_extension(A):
     """A + A* with A* square-zero, canonical form <(a,f),(b,g)> = f(b) + g(a).
 
     Basis order: the A part first, the dual basis second, so iota and pi
-    are plain coordinate inclusion/projection.
+    are plain coordinate inclusion/projection.  Built once per algebra and
+    kept in `A._cache`, so every caller shares TA and the homology cached on it.
     """
+    key = ("trivial_extension",)
+    if key in A._cache:
+        return A._cache[key]
     F, d, c = A.field, A.dim, A.const
     dt = 2 * d
     ct = np.zeros((dt, dt, dt), dtype=np.int64)
@@ -367,6 +337,7 @@ def trivial_extension(A):
     TA = Algebra(F, labels, ct)
     lam = np.zeros(dt, dtype=np.int64)
     lam[d] = 1  # evaluation of the functional part at the unit
+    lam.setflags(write=False)
     form = BilinearForm.from_linear_form(TA, lam)
     incl = np.zeros((dt, d), dtype=np.int64)
     incl[:d, :d] = np.eye(d, dtype=np.int64)
@@ -374,7 +345,9 @@ def trivial_extension(A):
     proj[:d, :d] = np.eye(d, dtype=np.int64)
     iota = AlgebraMorphism(A, TA, Matrix(F, incl, copy=False))
     pi = AlgebraMorphism(TA, A, Matrix(F, proj, copy=False))
-    return TrivialExtension(TA, form, lam, iota, pi)
+    te = TrivialExtension(TA, form, lam, iota, pi)
+    A._cache[key] = te
+    return te
 
 
 # -- unit normalization -------------------------------------------------------
@@ -399,42 +372,57 @@ def algebra_to_json(A):
     }
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _field_from_json(fobj):
+    if not isinstance(fobj, dict) or "p" not in fobj:
+        raise ValueError("field must be an object with at least a prime p")
+    p, r, modulus = fobj["p"], fobj.get("r", 1), fobj.get("modulus")
+    if not _is_int(p) or not _is_int(r):
+        raise ValueError("field p and r must be integers")
+    if modulus is not None and (
+        not isinstance(modulus, list) or not all(_is_int(c) for c in modulus)
+    ):
+        raise ValueError("field modulus must be a list of integers")
+    return FiniteField(p, r, modulus)
+
+
+def _is_cube(raw, dim):
+    """raw is a dim x dim x dim nest of lists."""
+    return (
+        isinstance(raw, list)
+        and len(raw) == dim
+        and all(isinstance(plane, list) and len(plane) == dim for plane in raw)
+        and all(
+            isinstance(row, list) and len(row) == dim for plane in raw for row in plane
+        )
+    )
+
+
 def algebra_from_json(obj):
     """Parse the CLI algebra schema; raises ValueError on malformed input."""
     if not isinstance(obj, dict):
         raise ValueError("algebra document must be a JSON object")
     try:
-        fobj = obj["field"]
-        field = FiniteFieldRef(fobj)
+        field = _field_from_json(obj["field"])
         dim = obj["dim"]
         labels = obj["basis"]
         raw = obj["structure_constants"]
     except KeyError as exc:
         raise ValueError(f"missing key {exc}") from exc
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise ValueError("dim must be a positive integer")
     if not isinstance(labels, list) or len(labels) != dim:
         raise ValueError("basis must list one label per dimension")
-    const = np.zeros((dim, dim, dim), dtype=np.int64)
-    if len(raw) != dim:
+    if not _is_cube(raw, dim):
         raise ValueError("structure_constants must be a dim^3 array")
-    for i in range(dim):
-        if len(raw[i]) != dim:
-            raise ValueError("structure_constants must be a dim^3 array")
-        for j in range(dim):
-            if len(raw[i][j]) != dim:
-                raise ValueError("structure_constants must be a dim^3 array")
-            for k in range(dim):
-                const[i, j, k] = field.decode_scalar(raw[i][j][k])
+    const = np.array(
+        [[[field.decode_scalar(x) for x in row] for row in plane] for plane in raw],
+        dtype=np.int64,
+    )
     return Algebra(field, labels, const)
-
-
-def FiniteFieldRef(fobj):
-    from .fieldlin import FiniteField
-
-    if not isinstance(fobj, dict) or "p" not in fobj:
-        raise ValueError("field must be an object with at least a prime p")
-    return FiniteField(fobj["p"], fobj.get("r", 1), fobj.get("modulus"))
 
 
 def find_unit(field, const):

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .fieldlin import row_reduce
 from .hochschild import chain_dim, cohomology, gram_matrix, homology
-from .kappa import kappa_compare_symmetric, kappa_hat, kappa_m_n
+from .kappa import kappa_compare_symmetric, kappa_hat
 
 DEFAULT_COLUMN_BUDGET = 10_000
 
@@ -195,11 +195,12 @@ def cmd_kappa(args):
             "(--hat) is defined for this algebra"
         )
     if lam is not None:
-        doc["kappa"] = kappa_m_n(A, lam, args.m, args.n).to_json(F)
-    if args.hat or lam is not None:
+        both = kappa_compare_symmetric(A, lam, args.m, args.n)
+        doc["kappa"] = both.kappa.to_json(F)
+        doc["kappa_hat"] = both.kappa_hat.to_json(F)
+        doc["routes_equal"] = both.equal
+    else:
         doc["kappa_hat"] = kappa_hat(A, args.m, args.n).to_json(F)
-    if lam is not None:
-        doc["routes_equal"] = kappa_compare_symmetric(A, lam, args.m, args.n).equal
     _emit(doc)
     return 0
 

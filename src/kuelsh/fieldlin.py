@@ -9,7 +9,9 @@ Matrices are dense int64 numpy arrays of scalar indices.  Over F_2 the
 elimination kernel packs each row into uint64 words and clears a pivot column
 with one vectorized XOR of the rows that hit it; over other prime fields it
 updates only the columns right of the pivot, with one mod-p pass per pivot;
-extension fields go through precomputed operation tables.  Prime fields are
+extension fields go through precomputed operation tables.  Matrix products
+over an extension field split both factors into base-p digit planes and
+multiply all plane pairs in one float64 product.  Prime fields are
 limited to p < 2^31, so every product of two reduced entries plus a reduced
 entry fits in int64.
 """
@@ -137,7 +139,15 @@ class FiniteField:
             nxt = [0] + red[-1][:]  # multiply by x
             rem = _poly_divmod(nxt + [0], list(self.modulus), p)
             red.append(rem)
-        self._xpow_red = red  # x^{r+k} -> red[k]
+        # x^i x^j in the power basis: fold[i, j] holds its r coefficients
+        fold = np.zeros((r, r, r), dtype=np.int64)
+        for i in range(r):
+            for j in range(r):
+                if i + j < r:
+                    fold[i, j, i + j] = 1
+                else:
+                    fold[i, j] = red[i + j - r]
+        self._FOLD_F = fold.astype(np.float64)
         dig = np.zeros((q, r), dtype=np.int64)
         for a in range(q):
             dig[a] = self._digits(a)
@@ -238,8 +248,12 @@ class FiniteField:
             if not isinstance(obj, int):
                 raise ValueError(f"prime field scalar must be an int, got {obj!r}")
             return obj % self.p
-        if not isinstance(obj, (list, tuple)) or len(obj) != self.r:
-            raise ValueError(f"scalar must be a length-{self.r} coefficient list")
+        if (
+            not isinstance(obj, (list, tuple))
+            or len(obj) != self.r
+            or not all(isinstance(c, int) for c in obj)
+        ):
+            raise ValueError(f"scalar must be a length-{self.r} integer coefficient list")
         return self._index(list(obj))
 
     def __eq__(self, other):
@@ -322,28 +336,16 @@ class FiniteField:
             for k in range(0, n, step):
                 out = (out + a[:, k : k + step] @ b[k : k + step]) % self.p
             return out
-        pa = np.stack([self._DIG[a][..., t] for t in range(self.r)])
-        pb = np.stack([self._DIG[b][..., t] for t in range(self.r)])
-        conv = [
-            np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-            for _ in range(2 * self.r - 1)
-        ]
-        for i in range(self.r):
-            for j in range(self.r):
-                conv[i + j] = (
-                    conv[i + j]
-                    + pa[i].astype(np.float64) @ pb[j].astype(np.float64)
-                ).astype(np.int64) % self.p
-        out_planes = [conv[t] for t in range(self.r)]
-        for k in range(self.r - 1):
-            red = self._xpow_red[k]
-            for t in range(self.r):
-                if red[t]:
-                    out_planes[t] = (out_planes[t] + red[t] * conv[self.r + k]) % self.p
-        out = np.zeros_like(conv[0])
-        for t in range(self.r):
-            out += out_planes[t] * int(self._ENC[t])
-        return out
+        # digit planes a = sum_i a_i x^i and b = sum_j b_j x^j: every a_i b_j
+        # in one float64 product, then x^i x^j folded into the power basis;
+        # exact while r^2 n (p-1)^3 < 2^53, which q <= 512 keeps for n < 10^11
+        r, p = self.r, self.p
+        m, n, k = a.shape[0], a.shape[1], b.shape[1]
+        pa = self._DIG[a].transpose(2, 0, 1).reshape(r * m, n).astype(np.float64)
+        pb = self._DIG[b].transpose(0, 2, 1).reshape(n, r * k).astype(np.float64)
+        prod = (pa @ pb).reshape(r, m, r, k)
+        planes = np.tensordot(self._FOLD_F, prod, axes=([0, 1], [0, 2]))
+        return np.tensordot(self._ENC, planes.astype(np.int64) % p, 1)
 
 
 # -- matrices -------------------------------------------------------------
@@ -370,7 +372,7 @@ def _as_vector(field, v, length=None):
         raise DimensionMismatch(f"expected a vector, got shape {arr.shape}")
     if length is not None and arr.shape[0] != length:
         raise DimensionMismatch(f"expected length {length}, got {arr.shape[0]}")
-    return arr % field.q if field.r == 1 else arr
+    return _in_range(field, arr)
 
 
 class Matrix:

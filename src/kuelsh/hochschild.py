@@ -6,6 +6,12 @@ basis index and i_1..i_m in 1..d-1 (the reduced part excludes the unit line),
 ordered lexicographically; the chain space has dimension d(d-1)^m.  Cochains
 of degree m are coefficient tensors of shape (d-1)^m x d encoding multilinear
 maps on the reduced algebra with values in A.
+
+Cochain operations (coboundary, cup product, pairing vector, Gram matrix) are
+slot contractions: the coefficient tensor is reshaped so that the slot being
+multiplied is one matrix axis, contracted with the structure constants in one
+`FiniteField.mat_mul`, and reshaped back.  Each operation is a fixed number of
+such products, exact over prime and extension fields alike.
 """
 
 from __future__ import annotations
@@ -185,9 +191,6 @@ class Cochain:
     def flat(self):
         return self.coeffs.reshape(-1)
 
-    def value(self, args):
-        return self.coeffs[_arg_index(self.algebra, args)]
-
     def is_zero(self):
         return not self.coeffs.any()
 
@@ -204,19 +207,13 @@ def cup_product(f, g):
     if f.algebra is not g.algebra and f.algebra.content_hash() != g.algebra.content_hash():
         raise AlgebraMismatch("cup product needs cochains over one algebra")
     A = f.algebra
-    d = A.dim
-    m, mp = f.degree, g.degree
-    out = np.zeros(((d - 1) ** (m + mp), d), dtype=np.int64)
-    fc = f.coeffs
-    gc = g.coeffs
-    for i in range((d - 1) ** m):
-        fv = fc[i]
-        if not fv.any():
-            continue
-        left = A.left_mult_matrix(fv)
-        block = A.field.mat_mul(left, gc.T).T  # rows: f(front) . g(back)
-        out[i * (d - 1) ** mp : (i + 1) * (d - 1) ** mp] = block
-    return Cochain(A, m + mp, out)
+    F, d, c = A.field, A.dim, A.const
+    rf, rg = f.coeffs.shape[0], g.coeffs.shape[0]
+    # t[I, b, k]: f(I) . e_b, reordered to rows b and columns (I, k)
+    t = F.mat_mul(f.coeffs, c.reshape(d, d * d)).reshape(rf, d, d)
+    t = t.transpose(1, 0, 2).reshape(d, rf * d)
+    out = F.mat_mul(g.coeffs, t).reshape(rg, rf, d).transpose(1, 0, 2)
+    return Cochain(A, f.degree + g.degree, out)
 
 
 def cup_power(f, e):
@@ -235,30 +232,30 @@ def cup_power(f, e):
 
 
 def coboundary_apply(f):
-    """Apply the coboundary to one cochain directly (no matrix build)."""
+    """Apply the coboundary to one cochain directly (no matrix build).
+
+    (df)(a_0, .., a_m) = a_0 f(a_1, ..) + sum_i (-1)^i f(.., a_{i-1} a_i, ..)
+    + (-1)^(m+1) f(a_0, .., a_{m-1}) a_m, one contraction per term.
+    """
     A = f.algebra
     F, d, c = A.field, A.dim, A.const
-    m = f.degree
-    out = np.zeros(((d - 1) ** (m + 1), d), dtype=np.int64)
-    minus_one = F.neg(1)
-    last_sign = 1 if (m + 1) % 2 == 0 else -1
-    for J in itertools.product(range(1, d), repeat=m + 1):
-        row = _arg_index(A, J)
-        acc = A.multiply_basis_left(J[0], f.value(J[1:]))
-        sign = -1
-        for i in range(1, m + 1):
-            x, y = J[i - 1], J[i]
-            inner = np.zeros(d, dtype=np.int64)
-            for t in range(1, d):
-                coeff = int(c[x, y, t])
-                if coeff:
-                    inner = F.vadd(inner, F.vscale(coeff, f.value(J[: i - 1] + (t,) + J[i + 1 :])))
-            acc = F.vadd(acc, inner if sign == 1 else F.vscale(minus_one, inner))
-            sign = -sign
-        tail = A.multiply_basis_right(f.value(J[:-1]), J[-1])
-        acc = F.vadd(acc, tail if last_sign == 1 else F.vscale(minus_one, tail))
-        out[row] = acc
-    return Cochain(A, m + 1, out)
+    m, n, fc = f.degree, A.dim - 1, f.coeffs
+    rows = n**m
+    # a_0 . f(J'): [J', a, k] reordered to [a, J', k]
+    left = F.mat_mul(fc, c[1:].transpose(1, 0, 2).reshape(d, n * d))
+    acc = left.reshape(rows, n, d).transpose(1, 0, 2).reshape(n * rows, d)
+    # reduced part of a_{i-1} a_i, as rows (x, y) and columns t
+    prod = c[1:, 1:, 1:].reshape(n * n, n)
+    for i in range(1, m + 1):
+        before, after = n ** (i - 1), n ** (m - i) * d
+        slot = fc.reshape(before, n, after).transpose(1, 0, 2).reshape(n, before * after)
+        term = F.mat_mul(prod, slot).reshape(n * n, before, after)
+        term = term.transpose(1, 0, 2).reshape(n * rows, d)
+        acc = F.vsub(acc, term) if i % 2 else F.vadd(acc, term)
+    # f(J') . a_m: [J', b, k] is already in row order
+    right = F.mat_mul(fc, c[:, 1:].reshape(d, n * d)).reshape(n * rows, d)
+    acc = F.vsub(acc, right) if (m + 1) % 2 else F.vadd(acc, right)
+    return Cochain(A, m + 1, acc)
 
 
 # -- homology -------------------------------------------------------------------
@@ -384,16 +381,15 @@ def hh_of_map(theta, m, source_basis=None, target_basis=None):
 
 
 def pairing_vector(lam, f):
-    """w with <f, c> = w . c for every chain c of f's degree."""
+    """w with <f, c> = w . c for every chain c of f's degree.
+
+    w[(i, J)] = lam(f(J) e_i) = sum_k f(J)_k G[k, i] with G[k, i] = lam(e_k e_i).
+    """
     A = f.algebra
-    F = A.field
-    lam = _as_vector(F, lam, A.dim)
-    m = f.degree
-    w = np.zeros(chain_dim(A, m), dtype=np.int64)
-    for idx, tup in enumerate(_chain_tuples(A, m)):
-        val = A.multiply_basis_right(f.value(tup[1:]), tup[0])
-        w[idx] = F.vdot(lam, val)
-    return w
+    F, d = A.field, A.dim
+    lam = _as_vector(F, lam, d)
+    gram = F.mat_mul(A.const.reshape(d * d, d), lam).reshape(d, d)
+    return F.mat_mul(f.coeffs, gram).T.ravel()
 
 
 def pairing(lam, f, c, check=True):
@@ -413,9 +409,10 @@ def gram_matrix(A, lam, m, cohom=None, homol=None):
     degree-m duality is nondegenerate on the chosen bases."""
     ch = cohom if cohom is not None else cohomology(A, m)
     ho = homol if homol is not None else homology(A, m)
-    G = np.zeros((ch.dimension, ho.dimension), dtype=np.int64)
-    for i, zf in enumerate(ch.representatives):
-        w = pairing_vector(lam, Cochain.from_flat(A, m, zf))
-        for j, x in enumerate(ho.representatives):
-            G[i, j] = A.field.vdot(w, x)
-    return Matrix(A.field, G, copy=False)
+    n = chain_dim(A, m)
+    W = np.array(
+        [pairing_vector(lam, Cochain.from_flat(A, m, zf)) for zf in ch.representatives],
+        dtype=np.int64,
+    ).reshape(ch.dimension, n)
+    H = np.array(ho.representatives, dtype=np.int64).reshape(ho.dimension, n)
+    return Matrix(A.field, A.field.mat_mul(W, H.T), copy=False)

@@ -94,7 +94,6 @@ def _kappa_on_cycles(A, lam, m, n, cycles, check=True):
             raise NotACocycle("cup power of a cocycle failed to be a cocycle")
         pair_vecs.append(pairing_vector(lam, cz))
     bnd = boundary_matrix(A, e * m) if e * m >= 1 and cycles else None
-    cols = []
     for x in cycles:
         x = np.asarray(x, dtype=np.int64)
         if x.shape != (dom_dim,):
@@ -103,9 +102,10 @@ def _kappa_on_cycles(A, lam, m, n, cycles, check=True):
             )
         if check and bnd is not None and (bnd @ x).any():
             raise NotACycle("kappa applied to a chain that is not a cycle")
-        b = np.array([F.vdot(w, x) for w in pair_vecs])
-        sol = gred.solve(F.vfrob(b, -n))
-        cols.append(sol)
+    W = np.array(pair_vecs, dtype=np.int64).reshape(len(pair_vecs), dom_dim)
+    X = np.array(cycles, dtype=np.int64).reshape(len(cycles), dom_dim)
+    B = F.vfrob(F.mat_mul(W, X.T), -n)  # column j: phi^{-n}(b) for cycle j
+    cols = [gred.solve(B[:, j]) for j in range(len(cycles))]
     M = (
         np.stack(cols, axis=1)
         if cols

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kuelsh.algebra import (
+    Algebra,
     AlgebraMorphism,
     BilinearForm,
     algebra_from_json,
@@ -25,6 +26,7 @@ from kuelsh.catalog import (
     truncated_polynomial,
     upper_triangular,
 )
+from kuelsh.errors import FieldMismatch
 from kuelsh.fieldlin import FiniteField, Matrix, row_reduce
 
 F2 = FiniteField(2)
@@ -89,6 +91,146 @@ def test_validate_reports_nonassociative_triple():
     rep = algebra_validate(Algebra(F2, ("1", "b", "c"), c))
     assert not rep.ok
     assert (1, 1, 1) in rep.associativity_violations
+
+
+# -- exactness at the largest accepted characteristic ---------------------------
+
+P_BIG = 2**31 - 1
+F_BIG = FiniteField(P_BIG)
+
+
+def _poly_constants(tail):
+    """k[x]/(x^d - sum_i tail[i] x^i) on 1, x, .., x^(d-1), from Python ints mod p."""
+    p, d = P_BIG, len(tail)
+    powers = [[int(i == s) for i in range(d)] for s in range(d)]
+    for _ in range(d - 1):
+        prev = powers[-1]  # x . prev, with x^d replaced by the tail
+        powers.append([((prev[i - 1] if i else 0) + prev[-1] * tail[i]) % p for i in range(d)])
+    return [[powers[i + j] for j in range(d)] for i in range(d)]
+
+
+def _py_inverse(M):
+    """Inverse of a square matrix mod P_BIG, by Gauss-Jordan on Python ints."""
+    p, d = P_BIG, len(M)
+    aug = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(M)]
+    for col in range(d):
+        piv = next(r for r in range(col, d) if aug[r][col] % p)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = pow(aug[col][col], p - 2, p)
+        aug[col] = [x * inv % p for x in aug[col]]
+        for r in range(d):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
+    return [row[d:] for row in aug]
+
+
+def _py_change_basis(const, P):
+    """Constants in the basis f_a = sum_i P[a][i] e_i (P invertible mod p)."""
+    p, d = P_BIG, len(const)
+    Q = _py_inverse(P)
+    return [
+        [
+            [
+                sum(
+                    P[a][i] * P[b][j] * const[i][j][k] * Q[k][l]
+                    for i in range(d)
+                    for j in range(d)
+                    for k in range(d)
+                )
+                % p
+                for l in range(d)
+            ]
+            for b in range(d)
+        ]
+        for a in range(d)
+    ]
+
+
+def _py_assoc_violations(const):
+    p, d = P_BIG, len(const)
+
+    def times(u, k):  # u . e_k
+        return [sum(u[t] * const[t][k][l] for t in range(d)) % p for l in range(d)]
+
+    def left(i, u):  # e_i . u
+        return [sum(u[t] * const[i][t][l] for t in range(d)) % p for l in range(d)]
+
+    return [
+        (i, j, k)
+        for i in range(d)
+        for j in range(d)
+        for k in range(d)
+        if times(const[i][j], k) != left(i, const[j][k])
+    ]
+
+
+def test_multiply_exact_at_large_prime():
+    p = P_BIG
+    c = np.zeros((2, 2, 2), dtype=np.int64)
+    c[0, 0, 0] = c[0, 1, 1] = c[1, 0, 1] = 1
+    c[1, 1, 1] = p - 1  # x^2 = (p-1) x
+    A = Algebra(F_BIG, ("1", "x"), c)
+    assert A.multiply([0, p - 1], [0, p - 1]).tolist() == [0, p - 1]
+    assert A.multiply_basis_left(1, [0, p - 1]).tolist() == [0, 1]
+    assert A.multiply_basis_right([0, p - 1], 1).tolist() == [0, 1]
+    assert A.left_mult_matrix([0, p - 1]).tolist() == [[0, 0], [p - 1, 1]]
+
+
+def test_products_and_forms_exact_at_large_prime():
+    p = P_BIG
+    rng = np.random.default_rng(31)
+    # products and forms need no axioms; dense constants make int64 sums wrap
+    const = rng.integers(0, p, (3, 3, 3)).tolist()
+    A = Algebra(F_BIG, ("1", "x", "y"), const)
+    for _ in range(10):
+        u = rng.integers(0, p, 3).tolist()
+        v = rng.integers(0, p, 3).tolist()
+        prod = [
+            sum(u[i] * v[j] * const[i][j][k] for i in range(3) for j in range(3)) % p
+            for k in range(3)
+        ]
+        assert A.multiply(u, v).tolist() == prod
+        gram = [
+            [sum(const[i][j][k] * u[k] for k in range(3)) % p for j in range(3)]
+            for i in range(3)
+        ]
+        assert BilinearForm.from_linear_form(A, u).gram.data.tolist() == gram
+
+
+def test_validate_exact_at_large_prime():
+    p = P_BIG
+    labels = ("1", "x", "x2", "x3")
+    assert algebra_validate(Algebra(F_BIG, labels, _poly_constants([1, 2, 3, 4]))).ok
+    # the same kind of algebra in a dense random basis: associative, with
+    # every constant of size ~p, so the int64 sums of four products wrap
+    P = np.random.default_rng(32).integers(0, p, (4, 4)).tolist()
+    const = _py_change_basis(_poly_constants([p - 2, p - 3, p - 5, p - 7]), P)
+    assert not _py_assoc_violations(const)
+    assert algebra_validate(Algebra(F_BIG, labels, const)).associativity_violations == []
+    const[3][3] = [(x + p - 1) % p for x in const[3][3]]  # bend one product
+    want = _py_assoc_violations(const)
+    assert want
+    assert algebra_validate(Algebra(F_BIG, labels, const)).associativity_violations == want
+
+
+def test_extension_field_vectors_out_of_range_rejected():
+    A = dual_numbers(F4)
+    with pytest.raises(FieldMismatch):
+        A.multiply([-1, 0], [1, 0])
+    with pytest.raises(FieldMismatch):
+        A.multiply([7, 0], [1, 0])
+    const = np.array(A.const)
+    const[1, 1, 1] = 4
+    with pytest.raises(FieldMismatch):
+        Algebra(F4, A.labels, const)
+
+
+def test_trivial_extension_is_memoized():
+    A = dual_numbers(F3)
+    te = trivial_extension(A)
+    assert trivial_extension(A) is te
+    assert not te.lam.flags.writeable
 
 
 def test_power_by_squaring():

@@ -3,7 +3,12 @@ import os
 
 import pytest
 
+import kuelsh.cli
+import kuelsh.kappa
+from kuelsh.algebra import algebra_to_json
+from kuelsh.catalog import dual_numbers
 from kuelsh.cli import main
+from kuelsh.fieldlin import FiniteField
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -72,6 +77,38 @@ def test_validate_characteristic_out_of_scope(tmp_path, capsys):
     code, out, err = run(capsys, "validate", str(bad))
     assert code == 2
     assert out == "" and "out of scope" in err
+
+
+def _document(name):
+    if name == "dual_f4":
+        return algebra_to_json(dual_numbers(FiniteField(2, 2, [1, 1, 1])))
+    with open(corpus(name)) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize(
+    "name, path, value",
+    [
+        ("dual_f2", ("structure_constants",), 5),
+        ("dual_f2", ("structure_constants",), [[[1, 0], [0, 1]], [[0, 1], 5]]),
+        ("dual_f2", ("field", "p"), "2"),
+        ("dual_f2", ("field", "r"), 1.0),
+        ("dual_f4", ("field", "modulus"), 7),
+        ("dual_f4", ("structure_constants", 0, 0, 0), ["1", 0]),
+        ("k_f2", ("dim",), True),
+    ],
+)
+def test_validate_malformed_types_exit_2(tmp_path, capsys, name, path, value):
+    doc = _document(name)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == "" and "malformed" in err
 
 
 # -- degree0 --------------------------------------------------------------------
@@ -187,6 +224,27 @@ def test_kappa_ut2_hat_empty(capsys):
     assert "kappa" not in doc
     assert doc["kappa_hat"]["rank"] == 0
     assert doc["kappa_hat"]["matrix"] == []
+
+
+def test_kappa_computes_each_route_once(monkeypatch, capsys):
+    calls = {"kappa_m_n": 0, "kappa_hat": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        wrapped = counted(name, getattr(kuelsh.kappa, name))
+        monkeypatch.setattr(kuelsh.kappa, name, wrapped)
+        monkeypatch.setattr(kuelsh.cli, name, wrapped, raising=False)
+    code, out, _ = run(capsys, "kappa", corpus("dual_f3"), "--m", "1", "--n", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert {"kappa", "kappa_hat", "routes_equal"} <= set(doc)
+    assert calls == {"kappa_m_n": 1, "kappa_hat": 1}
 
 
 def test_kappa_requires_symmetry_without_hat(capsys):

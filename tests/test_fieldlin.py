@@ -28,6 +28,7 @@ F3 = FiniteField(3)
 F4 = FiniteField(2, 2, [1, 1, 1])
 F5 = FiniteField(5)
 F7 = FiniteField(7)
+F8 = FiniteField(2, 3, [1, 1, 0, 1])  # x^3 + x + 1
 F9 = FiniteField(3, 2, [1, 0, 1])  # x^2 + 1, irreducible over F_3
 
 
@@ -340,15 +341,18 @@ def test_semilinear_compose_dimension_mismatch():
 
 def test_matrix_matmul_ext_field():
     rng = random.Random(8)
-    A = rand_matrix(F4, 3, 4, rng)
-    B = rand_matrix(F4, 4, 2, rng)
-    C = A @ B
-    for i in range(3):
-        for j in range(2):
-            acc = 0
-            for k in range(4):
-                acc = F4.add(acc, F4.mul(int(A.data[i, k]), int(B.data[k, j])))
-            assert C.data[i, j] == acc
+    shapes = [(3, 4, 2), (1, 7, 5), (6, 1, 1), (0, 3, 2), (2, 0, 3)]
+    for F, (m, k, n) in itertools.product((F4, F8, F9), shapes):
+        A = Matrix(F, np.array([rng.randrange(F.q) for _ in range(m * k)]).reshape(m, k))
+        B = Matrix(F, np.array([rng.randrange(F.q) for _ in range(k * n)]).reshape(k, n))
+        C = A @ B
+        assert C.data.shape == (m, n)
+        for i in range(m):
+            for j in range(n):
+                acc = 0
+                for t in range(k):
+                    acc = F.add(acc, F.mul(int(A.data[i, t]), int(B.data[t, j])))
+                assert C.data[i, j] == acc
 
 
 # -- elimination kernels against a pure-python reference -------------------

@@ -2,7 +2,9 @@
 
 `test_reports_byte_identical` compares two runs of the same code; these
 digests compare against the outputs recorded before the elimination kernels
-were rebuilt on packed words and column-restricted updates.  Any change to a
+were rebuilt on packed words and column-restricted updates, and (for the
+extension-field kappa maps) before the cochain layer became slot
+contractions through `mat_mul`.  Any change to a
 canonical basis, representative or report shows here.  Print the current
 digests with `PYTHONPATH=src python tests/test_golden.py`, and paste them in
 only when a change of output is intended.
@@ -13,11 +15,12 @@ import hashlib
 import io
 import os
 
-from kuelsh.algebra import trivial_extension
-from kuelsh.catalog import dual_numbers, upper_triangular
+from kuelsh.algebra import symmetrizing_form_search, trivial_extension
+from kuelsh.catalog import dual_numbers, truncated_polynomial, upper_triangular
 from kuelsh.cli import main
 from kuelsh.fieldlin import FiniteField
 from kuelsh.hochschild import homology
+from kuelsh.kappa import kappa_hat, kappa_m_n
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -37,6 +40,9 @@ CORPUS = (
 
 # (algebra name, max degree m): representatives of HH_0 .. HH_m
 HOMOLOGY = (("T(dual_f2)", 4), ("T(dual_f3)", 4), ("ut3_f2", 3))
+
+# (algebra name, m, n) over extension fields: matrix and twist of both routes
+KAPPA_EXT = (("dual_f4", 2, 1), ("dual_f9", 1, 1), ("trunc3_f9", 1, 1))
 
 GOLDEN = {
     "degree0 dual_f2 --n 2": "86962bd78981df2549b2a4e067c488c5012d446733738fb1bffd4d9626514424",
@@ -75,6 +81,12 @@ GOLDEN = {
     "homology ut3_f2 1": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     "homology ut3_f2 2": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     "homology ut3_f2 3": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "kappa dual_f4 --m 2 --n 1": "6178465d76e70aefe23a722d0ee7b845e0fd6b0b6cbdbce60f4fe912aff63488",
+    "kappa_hat dual_f4 --m 2 --n 1": "69b4b69a7438f910447d75d3119130d596d0188ff56635f6b60575f34904ada3",
+    "kappa dual_f9 --m 1 --n 1": "7b3ecf9a33e17c493d6b41b15b2a76b60e8f30f357b1d97a49cfbf1357742389",
+    "kappa_hat dual_f9 --m 1 --n 1": "7b3ecf9a33e17c493d6b41b15b2a76b60e8f30f357b1d97a49cfbf1357742389",
+    "kappa trunc3_f9 --m 1 --n 1": "0758c20b2c159c10c6bc32d312debc5f7c99023a66741435cbd5765873c69fe6",
+    "kappa_hat trunc3_f9 --m 1 --n 1": "0758c20b2c159c10c6bc32d312debc5f7c99023a66741435cbd5765873c69fe6",
 }
 
 
@@ -90,8 +102,14 @@ def _cli_digest(*argv):
 
 
 def _algebra(name):
+    F4 = FiniteField(2, 2, [1, 1, 1])
+    F9 = FiniteField(3, 2, [1, 0, 1])
     if name == "ut3_f2":
         return upper_triangular(FiniteField(2), 3)
+    if name in ("dual_f4", "dual_f9"):
+        return dual_numbers(F4 if name == "dual_f4" else F9)
+    if name == "trunc3_f9":
+        return truncated_polynomial(F9, 3)
     p = {"T(dual_f2)": 2, "T(dual_f3)": 3}[name]
     return trivial_extension(dual_numbers(FiniteField(p))).algebra
 
@@ -109,6 +127,12 @@ def digests():
         for m in range(top + 1):
             reps = [row.tolist() for row in homology(A, m).representatives]
             out[f"homology {name} {m}"] = _sha(repr(reps))
+    for name, m, n in KAPPA_EXT:
+        A = _algebra(name)
+        lam = symmetrizing_form_search(A).form
+        for route, k in (("kappa", kappa_m_n(A, lam, m, n)), ("kappa_hat", kappa_hat(A, m, n))):
+            key = f"{route} {name} --m {m} --n {n}"
+            out[key] = _sha(repr((k.matrix.data.tolist(), k.twist)))
     return out
 
 

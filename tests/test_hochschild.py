@@ -42,7 +42,9 @@ from kuelsh.hochschild import (
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
+F4 = FiniteField(2, 2, [1, 1, 1])
 F5 = FiniteField(5)
+F9 = FiniteField(3, 2, [1, 0, 1])
 
 CORPUS = standard_corpus()
 SYMMETRIC = ["dual_f2", "dual_f3", "dual_f5", "trunc3_f3", "m2_f3", "k_f2"]
@@ -383,14 +385,91 @@ def test_leibniz_rule_random_cochains():
 
 
 def test_coboundary_apply_matches_matrix():
-    for name in ("dual_f3", "ut2_f2"):
-        A = CORPUS[name]
+    algebras = (
+        CORPUS["dual_f3"],
+        CORPUS["ut2_f2"],
+        dual_numbers(F4),
+        truncated_polynomial(F9, 3),
+        upper_triangular(F3, 2),
+    )
+    for A in algebras:
         rng = random.Random(9)
-        for m in range(0, 3):
+        for m in range(0, 4):
             delta = coboundary_matrix(A, m)
             vec = np.array([rng.randrange(A.field.q) for _ in range(cochain_dim(A, m))])
             f = Cochain(A, m, vec)
             assert np.array_equal(coboundary_apply(f).flat(), delta @ vec)
+
+
+# Scalar references for the cochain contractions, written with field scalar
+# operations only.
+
+
+def ref_pairing_vector(lam, f):
+    """w[(i0, J)] = lam(f(J) e_i0)."""
+    A = f.algebra
+    F, d, c = A.field, A.dim, A.const
+    rows = f.coeffs.shape[0]
+    w = np.zeros(d * rows, dtype=np.int64)
+    for i0 in range(d):
+        for J in range(rows):
+            acc = 0
+            for k in range(d):
+                for t in range(d):
+                    term = F.mul(int(f.coeffs[J, k]), F.mul(int(c[k, i0, t]), int(lam[t])))
+                    acc = F.add(acc, term)
+            w[i0 * rows + J] = acc
+    return w
+
+
+def ref_cup_product(f, g):
+    """(f cup g)(I, J) = f(I) . g(J)."""
+    A = f.algebra
+    F, d, c = A.field, A.dim, A.const
+    rf, rg = f.coeffs.shape[0], g.coeffs.shape[0]
+    out = np.zeros((rf * rg, d), dtype=np.int64)
+    for I in range(rf):
+        for J in range(rg):
+            for a in range(d):
+                for b in range(d):
+                    s = F.mul(int(f.coeffs[I, a]), int(g.coeffs[J, b]))
+                    for k in range(d):
+                        out[I * rg + J, k] = F.add(
+                            int(out[I * rg + J, k]), F.mul(s, int(c[a, b, k]))
+                        )
+    return out
+
+
+def _kernel_algebras():
+    for F in (F2, F3, F4, F9):
+        yield dual_numbers(F)
+        yield truncated_polynomial(F, 3)
+        yield upper_triangular(F, 2)
+
+
+def _random_cochain(A, m, rng):
+    size = cochain_dim(A, m)
+    return Cochain(A, m, np.array([rng.randrange(A.field.q) for _ in range(size)]))
+
+
+def test_pairing_vector_matches_scalar_reference():
+    rng = random.Random(21)
+    for A in _kernel_algebras():
+        for m in range(3):
+            lam = np.array([rng.randrange(A.field.q) for _ in range(A.dim)])
+            f = _random_cochain(A, m, rng)
+            assert np.array_equal(pairing_vector(lam, f), ref_pairing_vector(lam, f))
+
+
+def test_cup_product_matches_scalar_reference():
+    rng = random.Random(22)
+    for A in _kernel_algebras():
+        for m, mp in ((0, 0), (0, 2), (1, 1), (2, 1)):
+            f = _random_cochain(A, m, rng)
+            g = _random_cochain(A, mp, rng)
+            cup = cup_product(f, g)
+            assert cup.degree == m + mp
+            assert np.array_equal(cup.coeffs, ref_cup_product(f, g))
 
 
 # -- pairing ----------------------------------------------------------------------
