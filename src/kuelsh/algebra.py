@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, FieldMismatch, KuelshError
-from .fieldlin import FiniteField, Matrix, Subspace, _as_vector, _in_range, row_reduce
+from .fieldlin import FiniteField, Matrix, Subspace, _as_vector, _in_range, _is_int, row_reduce
 
 _FORM_EXHAUST_BOUND = 2**20
 _FORM_SAMPLES = 64
@@ -214,14 +214,11 @@ class FormSearchResult:
     form: object  # linear form vector when found
 
 
-def _commutator_rows(A):
-    rows = []
-    for i in range(A.dim):
-        for j in range(i + 1, A.dim):
-            rows.append(A.field.vsub(A.const[i, j], A.const[j, i]))
-    if not rows:
-        return np.zeros((0, A.dim), dtype=np.int64)
-    return np.stack(rows)
+def commutator_space(A):
+    """Span of all commutators ab - ba (basis pairs i < j suffice by bilinearity)."""
+    F, c = A.field, A.const
+    i, j = np.triu_indices(A.dim, 1)
+    return Subspace(F, A.dim, F.vsub(c[i, j], c[j, i]))
 
 
 def symmetrizing_form_search(A):
@@ -231,7 +228,7 @@ def symmetrizing_form_search(A):
     enough, otherwise falls back to bounded sampling and reports "unknown".
     """
     F = A.field
-    comm = Subspace(F, A.dim, _commutator_rows(A))
+    comm = commutator_space(A)
     sol = row_reduce(comm.basis).kernel  # forms vanishing on commutators
     s = sol.dim
     if s == 0:
@@ -372,10 +369,6 @@ def algebra_to_json(A):
     }
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _field_from_json(fobj):
     if not isinstance(fobj, dict) or "p" not in fobj:
         raise ValueError("field must be an object with at least a prime p")
@@ -414,8 +407,12 @@ def algebra_from_json(obj):
         raise ValueError(f"missing key {exc}") from exc
     if not _is_int(dim) or dim < 1:
         raise ValueError("dim must be a positive integer")
-    if not isinstance(labels, list) or len(labels) != dim:
-        raise ValueError("basis must list one label per dimension")
+    if (
+        not isinstance(labels, list)
+        or len(labels) != dim
+        or not all(isinstance(x, str) for x in labels)
+    ):
+        raise ValueError("basis must list one string label per dimension")
     if not _is_cube(raw, dim):
         raise ValueError("structure_constants must be a dim^3 array")
     const = np.array(

@@ -13,20 +13,9 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .algebra import BilinearForm, trivial_extension
+from .algebra import BilinearForm, commutator_space, trivial_extension
 from .errors import DegenerateForm, DimensionMismatch, WellDefinednessViolation
 from .fieldlin import Matrix, SemilinearMap, Subspace, preimage, row_reduce
-
-
-def commutator_space(A):
-    """Span of all commutators ab - ba (basis pairs suffice by bilinearity)."""
-    rows = []
-    for i in range(A.dim):
-        for j in range(i + 1, A.dim):
-            rows.append(A.field.vsub(A.const[i, j], A.const[j, i]))
-    if not rows:
-        return Subspace(A.field, A.dim)
-    return Subspace(A.field, A.dim, np.stack(rows))
 
 
 def center(A):

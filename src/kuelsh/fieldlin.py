@@ -33,6 +33,11 @@ _MAX_EXT_ORDER = 512  # extension fields get dense q x q op tables
 _MAX_PRIME = 2**31  # (p-1)^2 + (p-1) < 2^63: int64 products stay exact
 
 
+def _is_int(x):
+    """An int that is not a bool (JSON true/false are not scalars)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _is_prime(n):
     if n < 2:
         return False
@@ -245,13 +250,13 @@ class FiniteField:
 
     def decode_scalar(self, obj):
         if self.r == 1:
-            if not isinstance(obj, int):
+            if not _is_int(obj):
                 raise ValueError(f"prime field scalar must be an int, got {obj!r}")
             return obj % self.p
         if (
             not isinstance(obj, (list, tuple))
             or len(obj) != self.r
-            or not all(isinstance(c, int) for c in obj)
+            or not all(_is_int(c) for c in obj)
         ):
             raise ValueError(f"scalar must be a length-{self.r} integer coefficient list")
         return self._index(list(obj))

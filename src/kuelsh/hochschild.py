@@ -7,6 +7,13 @@ ordered lexicographically; the chain space has dimension d(d-1)^m.  Cochains
 of degree m are coefficient tensors of shape (d-1)^m x d encoding multilinear
 maps on the reduced algebra with values in A.
 
+The boundary and coboundary matrices are written term by term: each term of
+the differential is a product of two neighbouring slots, which `np.einsum`
+exposes as a writeable diagonal view of the zero matrix (the unchanged slots
+are repeated labels), and only the nonzero structure constants are added
+onto it.  The chain map of a unital morphism theta is the Kronecker product
+theta (x) theta_bar^(x)m, theta_bar the block of theta on the reduced parts.
+
 Cochain operations (coboundary, cup product, pairing vector, Gram matrix) are
 slot contractions: the coefficient tensor is reshaped so that the slot being
 multiplied is one matrix axis, contracted with the structure constants in one
@@ -17,7 +24,6 @@ such products, exact over prime and extension fields alike.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
 from dataclasses import dataclass
 
@@ -44,26 +50,15 @@ def cochain_dim(A, m):
     return (A.dim - 1) ** m * A.dim
 
 
-def _chain_tuples(A, m):
-    inner = itertools.product(range(1, A.dim), repeat=m)
-    for i0, rest in itertools.product(range(A.dim), inner):
-        yield (i0, *rest)
+def _add_term(F, out, shape, spec, values, sign):
+    """Add sign * values onto the diagonal view np.einsum(spec, out.reshape(shape)).
 
-
-def _chain_index(A, m, tup):
-    d = A.dim
-    idx = tup[0]
-    for t in tup[1:]:
-        idx = idx * (d - 1) + (t - 1)
-    return idx
-
-
-def _arg_index(A, args):
-    d = A.dim
-    idx = 0
-    for t in args:
-        idx = idx * (d - 1) + (t - 1)
-    return idx
+    The view's leading axes are the identity labels and its last axes index
+    `values`; only nonzero values are written, and no two land on one entry.
+    """
+    view = np.einsum(spec, out.reshape(shape))
+    at = (Ellipsis, *np.nonzero(values))
+    view[at] = (F.vadd if sign > 0 else F.vsub)(view[at], values[at[1:]])
 
 
 def _disk_cache_path(A, kind, m):
@@ -88,30 +83,18 @@ def boundary_matrix(A, m):
         A._cache[key] = M
         return M
     F, d, c = A.field, A.dim, A.const
+    n, rest = d - 1, (d - 1) ** (m - 1)
     out = np.zeros((chain_dim(A, m - 1), chain_dim(A, m)), dtype=np.int64)
-    minus_one = F.neg(1)
-    for col, tup in enumerate(_chain_tuples(A, m)):
-        sign = 1
-        for i in range(m):
-            prod = c[tup[i], tup[i + 1]]
-            lo = 0 if i == 0 else 1  # inner slots drop the unit component
-            for t in range(lo, d):
-                coeff = int(prod[t])
-                if coeff:
-                    target = tup[:i] + (t,) + tup[i + 2 :]
-                    row = _chain_index(A, m - 1, target)
-                    val = coeff if sign == 1 else F.mul(coeff, minus_one)
-                    out[row, col] = F.add(int(out[row, col]), val)
-            sign = -sign
-        # cyclic term: (-1)^m (a_m a_0) (x) a_1 ... a_{m-1}
-        prod = c[tup[m], tup[0]]
-        for t in range(d):
-            coeff = int(prod[t])
-            if coeff:
-                target = (t,) + tup[1:m]
-                row = _chain_index(A, m - 1, target)
-                val = coeff if sign == 1 else F.mul(coeff, minus_one)
-                out[row, col] = F.add(int(out[row, col]), val)
+    # (a_0 a_1) (x) a_2 .. a_m, the whole product
+    _add_term(F, out, (d, rest, d, n, rest), "trxyr->rtxy", c[:, 1:].transpose(2, 0, 1), 1)
+    # (-1)^i .. (x) a_i a_{i+1} (x) .., inner slots drop the unit component
+    inner = c[1:, 1:, 1:].transpose(2, 0, 1)
+    for i in range(1, m):
+        before, after = d * n ** (i - 1), n ** (m - i - 1)
+        shape = (before, n, after, before, n, n, after)
+        _add_term(F, out, shape, "btpbxyp->bptxy", inner, (-1) ** i)
+    # cyclic term: (-1)^m (a_m a_0) (x) a_1 .. a_{m-1}
+    _add_term(F, out, (d, rest, d, rest, n), "tjxjy->jtxy", c[1:].transpose(2, 1, 0), (-1) ** m)
     M = Matrix(F, out, copy=False)
     A._cache[key] = M
     if path:
@@ -127,38 +110,18 @@ def coboundary_matrix(A, m):
     if key in A._cache:
         return A._cache[key]
     F, d, c = A.field, A.dim, A.const
+    n, rows = d - 1, (d - 1) ** m
     out = np.zeros((cochain_dim(A, m + 1), cochain_dim(A, m)), dtype=np.int64)
-    minus_one = F.neg(1)
-
-    def emit(args, valvec, sign, col):
-        base = _arg_index(A, args) * d
-        for kk in range(d):
-            coeff = int(valvec[kk])
-            if coeff:
-                val = coeff if sign == 1 else F.mul(coeff, minus_one)
-                out[base + kk, col] = F.add(int(out[base + kk, col]), val)
-
-    for J in itertools.product(range(1, d), repeat=m):
-        jbase = _arg_index(A, J) * d
-        for k in range(d):
-            col = jbase + k
-            ek = np.zeros(d, dtype=np.int64)
-            ek[k] = 1
-            for a in range(1, d):
-                emit((a, *J), c[a, k], 1, col)  # a . f(args)
-            sign = -1
-            for i in range(1, m + 1):
-                for x in range(1, d):
-                    for y in range(1, d):
-                        coeff = int(c[x, y, J[i - 1]])
-                        if coeff:
-                            args = J[: i - 1] + (x, y) + J[i:]
-                            base = _arg_index(A, args) * d
-                            val = coeff if sign == 1 else F.mul(coeff, minus_one)
-                            out[base + k, col] = F.add(int(out[base + k, col]), val)
-                sign = -sign
-            for b in range(1, d):
-                emit((*J, b), c[k, b], sign, col)  # f(args) . b
+    # a_0 . f(a_1, .., a_m)
+    _add_term(F, out, (n, rows, d, rows, d), "ajtjk->jatk", c[1:].transpose(0, 2, 1), 1)
+    # (-1)^i f(.., a_{i-1} a_i, ..), reduced part of the product
+    for i in range(1, m + 1):
+        before, after = n ** (i - 1), n ** (m - i)
+        shape = (before, n, n, after, d, before, n, after, d)
+        _add_term(F, out, shape, "bxypkbzpk->bpkxyz", c[1:, 1:, 1:], (-1) ** i)
+    # (-1)^(m+1) f(a_0, .., a_{m-1}) . a_m
+    shape = (rows, n, d, rows, d)
+    _add_term(F, out, shape, "jbtjk->jbtk", c[:, 1:].transpose(1, 2, 0), (-1) ** (m + 1))
     M = Matrix(F, out, copy=False)
     A._cache[key] = M
     return M
@@ -338,21 +301,11 @@ def induced_chain_map(theta, m):
     A, B, M = theta.source, theta.target, theta.matrix
     if not np.array_equal(M @ A.unit(), B.unit()):
         raise NotUnital("induced chain maps need a unital morphism")
-    F = B.field
-    dB = B.dim
-    out = np.zeros((chain_dim(B, m), chain_dim(A, m)), dtype=np.int64)
-    cols = M.data  # theta(e_i) = cols[:, i]
-    for col, tup in enumerate(_chain_tuples(A, m)):
-        images = [cols[:, t] for t in tup]
-        supports = [np.flatnonzero(images[0])] + [
-            np.flatnonzero(img[1:]) + 1 for img in images[1:]
-        ]
-        for combo in itertools.product(*supports):
-            coeff = 1
-            for slot, t in enumerate(combo):
-                coeff = F.mul(coeff, int(images[slot][t]))
-            row = _chain_index(B, m, combo)
-            out[row, col] = F.add(int(out[row, col]), coeff)
+    # theta on a_0, the reduced part of theta on every other slot
+    F, out, bar = B.field, M.data.copy(), M.data[1:, 1:]
+    for _ in range(m):
+        shape = (out.shape[0] * bar.shape[0], out.shape[1] * bar.shape[1])
+        out = F.vmul(out[:, None, :, None], bar[None, :, None, :]).reshape(shape)
     return Matrix(F, out, copy=False)
 
 

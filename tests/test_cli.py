@@ -96,6 +96,9 @@ def _document(name):
         ("dual_f4", ("field", "modulus"), 7),
         ("dual_f4", ("structure_constants", 0, 0, 0), ["1", 0]),
         ("k_f2", ("dim",), True),
+        ("dual_f2", ("structure_constants", 0, 0, 0), True),
+        ("dual_f2", ("basis",), [1, None]),
+        ("dual_f4", ("structure_constants", 0, 0, 0), [True, 0]),
     ],
 )
 def test_validate_malformed_types_exit_2(tmp_path, capsys, name, path, value):
@@ -157,6 +160,24 @@ def test_degree0_degenerate_form_rejected(tmp_path, capsys):
     form.write_text(json.dumps({"form": [1, 0]}))  # degenerate on dual numbers
     code, _, err = run(capsys, "degree0", corpus("dual_f3"), "--form", str(form))
     assert code == 1
+
+
+def test_degree0_nonsymmetric_form_rejected(tmp_path, capsys):
+    form = tmp_path / "form.json"
+    # lam = e12* + e21* on M2(F3): nondegenerate, but lam(e11 e12) != lam(e12 e11)
+    form.write_text(json.dumps({"form": [0, 0, 1, 1]}))
+    code, out, err = run(capsys, "degree0", corpus("m2_f3"), "--form", str(form))
+    assert code == 1
+    assert out == "" and "not symmetrizing" in err
+
+
+@pytest.mark.parametrize("doc", [{"form": [False, True]}, {"lam": [0, 1]}])
+def test_degree0_malformed_form_file_exit_2(tmp_path, capsys, doc):
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "degree0", corpus("dual_f3"), "--form", str(form))
+    assert code == 2
+    assert out == "" and "form file" in err
 
 
 # -- hh --------------------------------------------------------------------------

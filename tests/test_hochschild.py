@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from kuelsh.algebra import (
+    Algebra,
     AlgebraMorphism,
     BilinearForm,
+    algebra_validate,
     identity_morphism,
     symmetrizing_form_search,
     trivial_extension,
@@ -275,14 +277,12 @@ def test_iota_sends_eps_cycle_to_ta_tuple():
     TA = te.algebra
     up = induced_chain_map(te.iota, 2)
     # cycle eps (x) eps (x) eps has chain index, in A, of tuple (1, 1, 1)
+    # (i_0, i_1, i_2) sits at multi-index (i_0, i_1 - 1, i_2 - 1) of (d, d-1, d-1)
     src = np.zeros(chain_dim(A, 2), dtype=np.int64)
-    src[1 * 1 + 0] = 0
-    from kuelsh.hochschild import _chain_index
-
-    src[_chain_index(A, 2, (1, 1, 1))] = 1
+    src[np.ravel_multi_index((1, 0, 0), (A.dim, A.dim - 1, A.dim - 1))] = 1
     img = up @ src
     expect = np.zeros(chain_dim(TA, 2), dtype=np.int64)
-    expect[_chain_index(TA, 2, (1, 1, 1))] = 1
+    expect[np.ravel_multi_index((1, 0, 0), (TA.dim, TA.dim - 1, TA.dim - 1))] = 1
     assert np.array_equal(img, expect)
 
 
@@ -401,8 +401,8 @@ def test_coboundary_apply_matches_matrix():
             assert np.array_equal(coboundary_apply(f).flat(), delta @ vec)
 
 
-# Scalar references for the cochain contractions, written with field scalar
-# operations only.
+# Scalar references for the cochain contractions, the differentials and the
+# chain maps, written with field scalar operations only.
 
 
 def ref_pairing_vector(lam, f):
@@ -440,6 +440,108 @@ def ref_cup_product(f, g):
     return out
 
 
+def _chain_tuples(d, m):
+    """Chain basis tuples (i_0, i_1..i_m), i_1..i_m >= 1, in chain order."""
+    for i0, rest in itertools.product(range(d), itertools.product(range(1, d), repeat=m)):
+        yield (i0, *rest)
+
+
+def _chain_index(d, tup):
+    idx = tup[0]
+    for t in tup[1:]:
+        idx = idx * (d - 1) + (t - 1)
+    return idx
+
+
+def _arg_index(d, args):
+    idx = 0
+    for t in args:
+        idx = idx * (d - 1) + (t - 1)
+    return idx
+
+
+def ref_boundary_matrix(A, m):
+    """The bar boundary, one chain tuple and one product component at a time."""
+    F, d, c = A.field, A.dim, A.const
+    out = np.zeros((chain_dim(A, m - 1), chain_dim(A, m)), dtype=np.int64)
+    minus_one = F.neg(1)
+    for col, tup in enumerate(_chain_tuples(d, m)):
+        sign = 1
+        for i in range(m):
+            prod = c[tup[i], tup[i + 1]]
+            lo = 0 if i == 0 else 1  # inner slots drop the unit component
+            for t in range(lo, d):
+                coeff = int(prod[t])
+                if coeff:
+                    row = _chain_index(d, tup[:i] + (t,) + tup[i + 2 :])
+                    val = coeff if sign == 1 else F.mul(coeff, minus_one)
+                    out[row, col] = F.add(int(out[row, col]), val)
+            sign = -sign
+        prod = c[tup[m], tup[0]]  # cyclic term: (-1)^m (a_m a_0) (x) a_1 ... a_{m-1}
+        for t in range(d):
+            coeff = int(prod[t])
+            if coeff:
+                row = _chain_index(d, (t,) + tup[1:m])
+                val = coeff if sign == 1 else F.mul(coeff, minus_one)
+                out[row, col] = F.add(int(out[row, col]), val)
+    return out
+
+
+def ref_coboundary_matrix(A, m):
+    """The coboundary, one basis cochain (J -> e_k) at a time."""
+    F, d, c = A.field, A.dim, A.const
+    out = np.zeros((cochain_dim(A, m + 1), cochain_dim(A, m)), dtype=np.int64)
+    minus_one = F.neg(1)
+
+    def emit(args, valvec, sign, col):
+        base = _arg_index(d, args) * d
+        for kk in range(d):
+            coeff = int(valvec[kk])
+            if coeff:
+                val = coeff if sign == 1 else F.mul(coeff, minus_one)
+                out[base + kk, col] = F.add(int(out[base + kk, col]), val)
+
+    for J in itertools.product(range(1, d), repeat=m):
+        jbase = _arg_index(d, J) * d
+        for k in range(d):
+            col = jbase + k
+            for a in range(1, d):
+                emit((a, *J), c[a, k], 1, col)  # a . f(args)
+            sign = -1
+            for i in range(1, m + 1):
+                for x in range(1, d):
+                    for y in range(1, d):
+                        coeff = int(c[x, y, J[i - 1]])
+                        if coeff:
+                            base = _arg_index(d, J[: i - 1] + (x, y) + J[i:]) * d
+                            val = coeff if sign == 1 else F.mul(coeff, minus_one)
+                            out[base + k, col] = F.add(int(out[base + k, col]), val)
+                sign = -sign
+            for b in range(1, d):
+                emit((*J, b), c[k, b], sign, col)  # f(args) . b
+    return out
+
+
+def ref_induced_chain_map(theta, m):
+    """theta on every slot, the unit component dropped in slots 1..m."""
+    A, B = theta.source, theta.target
+    F = B.field
+    out = np.zeros((chain_dim(B, m), chain_dim(A, m)), dtype=np.int64)
+    cols = theta.matrix.data  # theta(e_i) = cols[:, i]
+    for col, tup in enumerate(_chain_tuples(A.dim, m)):
+        images = [cols[:, t] for t in tup]
+        supports = [np.flatnonzero(images[0])] + [
+            np.flatnonzero(img[1:]) + 1 for img in images[1:]
+        ]
+        for combo in itertools.product(*supports):
+            coeff = 1
+            for slot, t in enumerate(combo):
+                coeff = F.mul(coeff, int(images[slot][t]))
+            row = _chain_index(B.dim, combo)
+            out[row, col] = F.add(int(out[row, col]), coeff)
+    return out
+
+
 def _kernel_algebras():
     for F in (F2, F3, F4, F9):
         yield dual_numbers(F)
@@ -470,6 +572,50 @@ def test_cup_product_matches_scalar_reference():
             cup = cup_product(f, g)
             assert cup.degree == m + mp
             assert np.array_equal(cup.coeffs, ref_cup_product(f, g))
+
+
+def _dense_basis(A, seed):
+    """A in a dense random basis f_0 = 1, f_1..f_{d-1} with all-nonzero coordinates."""
+    F, d = A.field, A.dim
+    rng = np.random.default_rng(seed)
+    while True:
+        P = np.vstack([A.unit(), rng.integers(1, F.q, (d - 1, d))])
+        red = row_reduce(Matrix(F, P.T))
+        if red.rank == d:
+            break
+    # a vector with e-coordinates v has f-coordinates v @ Q
+    Q = np.stack([red.solve(e) for e in np.eye(d, dtype=np.int64)])
+    const = [[F.mat_mul(A.multiply(P[a], P[b]), Q) for b in range(d)] for a in range(d)]
+    dense = Algebra(F, A.labels, const)
+    assert algebra_validate(dense).ok
+    return dense
+
+
+def _builder_algebras():
+    yield from _kernel_algebras()
+    yield _dense_basis(truncated_polynomial(F5, 3), 41)
+    yield _dense_basis(upper_triangular(F5, 2), 42)
+
+
+def test_differentials_match_scalar_reference():
+    for A in (*_builder_algebras(), trivial_extension(dual_numbers(F3)).algebra):
+        for m in range(4):
+            if m >= 1:
+                want = ref_boundary_matrix(A, m)
+                assert np.array_equal(boundary_matrix(A, m).data, want), (A.field, A.dim, m)
+            want = ref_coboundary_matrix(A, m)
+            assert np.array_equal(coboundary_matrix(A, m).data, want), (A.field, A.dim, m)
+
+
+def test_chain_maps_match_scalar_reference():
+    for A in _builder_algebras():
+        te = trivial_extension(A)
+        for theta in (te.iota, te.pi, identity_morphism(te.algebra)):
+            for m in range(4):
+                got = induced_chain_map(theta, m)
+                assert np.array_equal(got.data, ref_induced_chain_map(theta, m)), (A.field, m)
+        chain0 = induced_chain_map(te.iota, 0)
+        assert not np.shares_memory(chain0.data, te.iota.matrix.data)
 
 
 # -- pairing ----------------------------------------------------------------------
