@@ -7,13 +7,16 @@ row, so identical inputs always produce identical bases and representatives.
 
 Matrices are dense int64 numpy arrays of scalar indices.  Over F_2 the
 elimination kernel packs each row into uint64 words and clears a pivot column
-with one vectorized XOR of the rows that hit it; over other prime fields it
-updates only the columns right of the pivot, with one mod-p pass per pivot;
-extension fields go through precomputed operation tables.  Matrix products
-over an extension field split both factors into base-p digit planes and
-multiply all plane pairs in one float64 product.  Prime fields are
-limited to p < 2^31, so every product of two reduced entries plus a reduced
-entry fits in int64.
+with one vectorized XOR of the rows that hit it.  Over odd prime fields it
+updates only the columns right of the pivot and delays reduction mod p: each
+pivot reduces its column and its row, the trailing update has no `%`, and the
+trailing block is reduced only after (2^63 - p) // (p-1)^2 updates, the most
+that cannot wrap int64: every second update at p = 2^31 - 1, and for p <= 7
+after more than 10^17, so never.  Extension fields go through precomputed
+operation tables.  Matrix products over an extension field split both factors
+into base-p digit planes and multiply all plane pairs in one float64 product.
+Prime fields are limited to p < 2^31, so every product of two reduced entries
+plus a reduced entry fits in int64.
 """
 
 from __future__ import annotations
@@ -528,10 +531,55 @@ def _rref_generic(field, data):
     return R, pivots
 
 
+def _rref_prime(p, data):
+    """RREF over an odd prime field F_p with delayed reduction mod p.
+
+    Only the pivot column and the pivot row are reduced at each pivot; the
+    trailing update subtracts c * piv with no `%`.  Entries start in 0..p-1
+    and each update subtracts at most (p-1)^2, so `lazy` updates in a row
+    cannot wrap int64; the trailing block is reduced before the next one.
+    """
+    R = data.copy()
+    m, n = R.shape
+    lazy = (2**63 - p) // (p - 1) ** 2
+    pivots = []
+    row = due = 0
+    for col in range(n):
+        if row == m:
+            break
+        below = np.flatnonzero(R[row:, col] % p)
+        if below.size == 0:
+            continue
+        pr = row + int(below[0])
+        c = R[:, col] % p
+        # rows at and below `row` are 0 mod p left of `col`: only columns col.. change
+        piv = R[pr, col:]
+        piv %= p
+        if c[pr] != 1:
+            piv *= pow(int(c[pr]), p - 2, p)
+            piv %= p
+        c[pr] = 0
+        others = np.flatnonzero(c)
+        if others.size:
+            if due == lazy:
+                R[:, col:] %= p
+                due = 0
+            R[others, col:] -= c[others, None] * piv
+            due += 1
+        if pr != row:
+            R[[row, pr]] = R[[pr, row]]
+        pivots.append(col)
+        row += 1
+    R %= p
+    return R, pivots
+
+
 def _rref(field, data):
-    if field.p == 2 and field.r == 1:
+    if field.r > 1:
+        return _rref_generic(field, data)
+    if field.p == 2:
         return _rref_gf2(data)
-    return _rref_generic(field, data)
+    return _rref_prime(field.p, data)
 
 
 class RowReduction:

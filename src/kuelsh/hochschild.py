@@ -31,8 +31,6 @@ import numpy as np
 
 from .errors import (
     AlgebraMismatch,
-    DegenerateForm,
-    DimensionMismatch,
     NotACocycle,
     NotACycle,
     NotUnital,
@@ -40,6 +38,7 @@ from .errors import (
 from .fieldlin import Matrix, Subspace, _as_vector, row_reduce
 
 CACHE_ENV = "KUELSH_CACHE_DIR"
+CACHE_FORMAT = 2  # part of every disk cache key; bump when the file layout changes
 
 
 def chain_dim(A, m):
@@ -66,8 +65,33 @@ def _disk_cache_path(A, kind, m):
     if not root:
         return None
     os.makedirs(root, exist_ok=True)
-    key = hashlib.sha256(f"{A.content_hash()}:{kind}:{m}".encode()).hexdigest()
-    return os.path.join(root, f"{key}.npy")
+    key = f"format{CACHE_FORMAT}:{A.content_hash()}:{kind}:{m}"
+    return os.path.join(root, f"{hashlib.sha256(key.encode()).hexdigest()}.npy")
+
+
+def _disk_cache_load(path, shape):
+    """The int64 matrix of this shape cached at path, or None for a miss: no
+    file, a file np.load cannot read, or a wrong shape or dtype."""
+    try:
+        data = np.load(path)
+    except (OSError, ValueError, EOFError):
+        return None
+    if data.shape != shape or data.dtype != np.int64:
+        return None
+    return data
+
+
+def _disk_cache_store(path, data):
+    """Write to a private temporary file, then rename it over path, so a
+    reader never sees a partly written file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            np.save(f, data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def boundary_matrix(A, m):
@@ -77,14 +101,16 @@ def boundary_matrix(A, m):
     key = ("boundary", m)
     if key in A._cache:
         return A._cache[key]
+    shape = (chain_dim(A, m - 1), chain_dim(A, m))
     path = _disk_cache_path(A, "boundary", m)
-    if path and os.path.exists(path):
-        M = Matrix(A.field, np.load(path))
+    cached = _disk_cache_load(path, shape) if path else None
+    if cached is not None:
+        M = Matrix(A.field, cached, copy=False)
         A._cache[key] = M
         return M
     F, d, c = A.field, A.dim, A.const
     n, rest = d - 1, (d - 1) ** (m - 1)
-    out = np.zeros((chain_dim(A, m - 1), chain_dim(A, m)), dtype=np.int64)
+    out = np.zeros(shape, dtype=np.int64)
     # (a_0 a_1) (x) a_2 .. a_m, the whole product
     _add_term(F, out, (d, rest, d, n, rest), "trxyr->rtxy", c[:, 1:].transpose(2, 0, 1), 1)
     # (-1)^i .. (x) a_i a_{i+1} (x) .., inner slots drop the unit component
@@ -98,7 +124,7 @@ def boundary_matrix(A, m):
     M = Matrix(F, out, copy=False)
     A._cache[key] = M
     if path:
-        np.save(path, out)
+        _disk_cache_store(path, out)
     return M
 
 
@@ -230,29 +256,25 @@ class HomologyBasis:
     representatives: tuple  # vectors in the chain (or cochain) space
     cycles: Subspace
     boundaries: Subspace
-    _solver: object = None
 
     @property
     def dimension(self):
         return len(self.representatives)
 
     def express(self, v):
-        """Coordinates of a cycle's class in this basis (reduce mod boundaries)."""
-        if self._solver is None:
-            cols = list(self.representatives) + [
-                row for row in self.boundaries.basis.data
-            ]
-            ambient = self.cycles.ambient_dim
-            M = (
-                np.stack(cols, axis=1)
-                if cols
-                else np.zeros((ambient, 0), dtype=np.int64)
-            )
-            self._solver = row_reduce(Matrix(self.cycles.field, M, copy=False))
-        sol = self._solver.solve(v)
-        if sol is None:
+        """Coordinates of a cycle's class in this basis.
+
+        The representatives are in RREF and reduced modulo the boundaries, so
+        the class of v is w = boundaries.reduce(v), and its coordinates are w
+        read at the representatives' pivots.
+        """
+        F, n = self.cycles.field, self.cycles.ambient_dim
+        w = self.boundaries.reduce(_as_vector(F, v, n))
+        reps = np.array(self.representatives, dtype=np.int64).reshape(self.dimension, n)
+        coords = w[[np.flatnonzero(r)[0] for r in reps]]
+        if F.vsub(w, F.mat_mul(coords, reps)).any():
             raise NotACycle("vector is not a cycle modulo boundaries")
-        return sol[: self.dimension]
+        return coords
 
 
 def homology(A, m):

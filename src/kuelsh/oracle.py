@@ -41,10 +41,7 @@ def periodic_hh_dual_numbers(F, m):
         raise ValueError("degree must be >= 0")
     A = dual_numbers(F)
     L = A.left_mult_matrix(A.basis_vector(1))
-    if F.r == 1:
-        two_eps = Matrix(F, (2 * L) % F.p)
-    else:
-        two_eps = Matrix(F, F.vscale(F.add(1, 1), L))
+    two_eps = Matrix(F, F.vscale(F.add(1, 1), L))
     full = Subspace.full(F, 2)
     if m == 0:
         cycles = full

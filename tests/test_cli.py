@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 import kuelsh.cli
@@ -206,6 +207,43 @@ def test_hh_ut2_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "degree,hh_dim"
     assert [l.split(",")[1] for l in lines[1:]] == ["2", "0", "0", "0"]
+
+
+def _truncate_data(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _truncate_header(path):
+    path.write_bytes(path.read_bytes()[:20])
+
+
+def _wrong_shape(path):
+    np.save(path, np.zeros((2, 3), dtype=np.int64))
+
+
+def _wrong_dtype(path):
+    np.save(path, np.load(path).astype(np.float64))
+
+
+@pytest.mark.parametrize(
+    "damage", [_truncate_data, _truncate_header, _wrong_shape, _wrong_dtype]
+)
+def test_hh_recomputes_damaged_cache_files(tmp_path, monkeypatch, capsys, damage):
+    args = ("hh", corpus("dual_f3"), "--max-degree", "3")
+    monkeypatch.delenv("KUELSH_CACHE_DIR", raising=False)
+    code, plain, _ = run(capsys, *args)
+    assert code == 0
+    monkeypatch.setenv("KUELSH_CACHE_DIR", str(tmp_path))
+    assert run(capsys, *args)[:2] == (0, plain)
+    files = sorted(tmp_path.iterdir())
+    assert len(files) == 4  # b_1 .. b_4
+    for path in files:
+        damage(path)
+    assert run(capsys, *args)[:2] == (0, plain)
+    # each damaged file was replaced by a readable one, and no temporary is left
+    assert sorted(tmp_path.iterdir()) == files
+    for path in files:
+        assert np.load(path).dtype == np.int64
 
 
 def test_hh_budget(capsys):

@@ -19,6 +19,7 @@ from kuelsh.fieldlin import (
     Subspace,
     _rref_generic,
     _rref_gf2,
+    _rref_prime,
     preimage,
     row_reduce,
 )
@@ -454,6 +455,22 @@ def test_rref_largest_prime_matches_reference():
     rng = random.Random(31)
     for data, rank in kernel_cases(F, rng, [(4, 6), (6, 4), (5, 5)]):
         check_kernel(F, lambda d: _rref_generic(F, d), data, rank)
+
+
+@pytest.mark.parametrize("F", [F3, F5, F7], ids=repr)
+def test_rref_prime_matches_reference(F):
+    rng = random.Random(11 * F.q)
+    for data, rank in kernel_cases(F, rng):
+        check_kernel(F, lambda d: _rref_prime(F.p, d), data, rank)
+
+
+def test_rref_prime_largest_prime_matches_reference():
+    # at p = 2^31 - 1 only two unreduced updates fit in int64, so the wider
+    # shapes reduce the trailing block every other pivot, dozens of times
+    F = FiniteField(2**31 - 1)
+    rng = random.Random(37)
+    for data, rank in kernel_cases(F, rng, [(4, 6), (6, 4), (40, 65), (67, 65)]):
+        check_kernel(F, lambda d: _rref_prime(F.p, d), data, rank)
 
 
 @pytest.mark.parametrize("F", [F2, F3, F4, F9], ids=repr)

@@ -22,7 +22,7 @@ from kuelsh.catalog import (
     upper_triangular,
 )
 from kuelsh.degree0 import center, commutator_space, hh0_data
-from kuelsh.errors import NotACocycle, NotUnital
+from kuelsh.errors import NotACocycle, NotACycle, NotUnital
 from kuelsh.fieldlin import FiniteField, Matrix, Subspace, row_reduce
 from kuelsh.hochschild import (
     Cochain,
@@ -321,6 +321,32 @@ def test_hh0_of_iota_matches_degree0_route():
             axis=1,
         )
         assert np.array_equal(M.data, expected)
+
+
+def ref_express(hb, v):
+    """Coordinates by the former solver: v as a combination of the
+    representatives and the boundary basis, via an augmented-identity RREF."""
+    cols = list(hb.representatives) + list(hb.boundaries.basis.data)
+    n = hb.cycles.ambient_dim
+    M = np.stack(cols, axis=1) if cols else np.zeros((n, 0), dtype=np.int64)
+    sol = row_reduce(Matrix(hb.cycles.field, M, copy=False)).solve(v)
+    return None if sol is None else sol[: hb.dimension]
+
+
+def test_express_matches_solver_reference():
+    rng = random.Random(23)
+    for A in (trivial_extension(dual_numbers(F3)).algebra, upper_triangular(F5, 2)):
+        q = A.field.q
+        for hb in [homology(A, m) for m in range(3)] + [cohomology(A, m) for m in range(3)]:
+            Z, n = hb.cycles, hb.cycles.ambient_dim
+            for _ in range(5):
+                v = Z.lift([rng.randrange(q) for _ in range(Z.dim)])
+                assert np.array_equal(hb.express(v), ref_express(hb, v))
+            outside = [e for e in np.eye(n, dtype=np.int64) if not Z.contains_vector(e)]
+            for e in outside[:3]:
+                assert ref_express(hb, e) is None
+                with pytest.raises(NotACycle):
+                    hb.express(e)
 
 
 # -- cup products -----------------------------------------------------------------
