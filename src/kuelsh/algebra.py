@@ -11,14 +11,22 @@ symmetrizing forms of a given algebra.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, FieldMismatch, KuelshError
-from .fieldlin import FiniteField, Matrix, Subspace, _as_vector, _in_range, _is_int, row_reduce
+from .fieldlin import (
+    FiniteField,
+    Matrix,
+    Subspace,
+    _as_rows,
+    _as_vector,
+    _in_range,
+    _is_int,
+    row_reduce,
+)
 
 _FORM_EXHAUST_BOUND = 2**20
 _FORM_SAMPLES = 64
@@ -56,17 +64,20 @@ class Algebra:
         return self.basis_vector(0)
 
     def multiply(self, a, b):
+        """a b for two vectors, or row by row for two (k, d) blocks."""
         F, d = self.field, self.dim
-        a = _as_vector(F, a, d)
-        b = _as_vector(F, b, d)
-        ab = F.vmul(a[:, None], b[None, :]).reshape(d * d)  # a_i b_j
-        return F.mat_mul(ab, self.const.reshape(d * d, d))
+        a = _as_rows(F, a, d)
+        b = _as_rows(F, b, d)
+        if a.shape != b.shape:
+            raise DimensionMismatch(f"cannot multiply rows of shapes {a.shape} and {b.shape}")
+        ab = F.vmul(a[..., :, None], b[..., None, :])  # a_i b_j
+        return F.mat_mul(ab.reshape(ab.shape[:-2] + (d * d,)), self.const.reshape(d * d, d))
 
     def power(self, a, e):
-        """a^e by repeated squaring; e >= 1."""
+        """a^e by repeated squaring, for a vector or each row of a block; e >= 1."""
         if e < 1:
             raise ValueError("element powers need e >= 1")
-        a = _as_vector(self.field, a, self.dim)
+        a = _as_rows(self.field, a, self.dim)
         out = None
         base = a
         while e:
@@ -114,13 +125,15 @@ class ValidationReport:
 def algebra_validate(A):
     """Check the unit and associativity axioms; reports every violated triple."""
     F, d, c = A.field, A.dim, A.const
-    unit_bad = []
-    for i in range(d):
-        ei = A.basis_vector(i)
-        if not np.array_equal(A.multiply(A.unit(), ei), ei):
-            unit_bad.append(("left", i))
-        if not np.array_equal(A.multiply(ei, A.unit()), ei):
-            unit_bad.append(("right", i))
+    # 1 . e_i is row i of c[0], e_i . 1 is row i of c[:, 0]
+    eye = np.eye(d, dtype=np.int64)
+    left, right = (c[0] != eye).any(axis=1), (c[:, 0] != eye).any(axis=1)
+    unit_bad = [
+        (side, i)
+        for i in range(d)
+        for side, bad in (("left", left), ("right", right))
+        if bad[i]
+    ]
     # (e_i e_j) e_k against e_i (e_j e_k), both as [i, j, k, l] tensors
     pairs = c.reshape(d * d, d)
     lhs = F.mat_mul(pairs, c.reshape(d, d * d)).reshape(d, d, d, d)
@@ -144,21 +157,10 @@ def tensor_product(A, B):
     F = A.field
     da, db = A.dim, B.dim
     labels = [f"{la}(x){lb}" for la in A.labels for lb in B.labels]
-    if F.r == 1:
-        c = np.einsum("ace,bdf->abcdef", A.const, B.const) % F.p
-        c = c.reshape(da * db, da * db, da * db)
-        return Algebra(F, labels, c)
+    # c[(i1, j1), (i2, j2), (k1, k2)] = a[i1, i2, k1] b[j1, j2, k2]
+    c = F.vmul(A.const[:, None, :, None, :, None], B.const[None, :, None, :, None, :])
     d = da * db
-    c = np.zeros((d, d, d), dtype=np.int64)
-    for i1, j1, i2, j2 in itertools.product(range(da), range(db), range(da), range(db)):
-        prod_a = A.const[i1, i2]
-        prod_b = B.const[j1, j2]
-        for k1 in np.flatnonzero(prod_a):
-            for k2 in np.flatnonzero(prod_b):
-                c[i1 * db + j1, i2 * db + j2, k1 * db + k2] = F.mul(
-                    int(prod_a[k1]), int(prod_b[k2])
-                )
-    return Algebra(F, labels, c)
+    return Algebra(F, labels, c.reshape(d, d, d))
 
 
 # -- forms ------------------------------------------------------------------
@@ -198,14 +200,11 @@ class BilinearForm:
 
     def is_associative(self, A):
         """<xy, z> == <x, yz> on all basis triples."""
-        for i in range(A.dim):
-            for j in range(A.dim):
-                for k in range(A.dim):
-                    left = self.pairing(A.multiply(A.basis_vector(i), A.basis_vector(j)), A.basis_vector(k))
-                    right = self.pairing(A.basis_vector(i), A.multiply(A.basis_vector(j), A.basis_vector(k)))
-                    if left != right:
-                        return False
-        return True
+        F, d, G = self.field, A.dim, self.gram.data
+        pairs = A.const.reshape(d * d, d)
+        left = F.mat_mul(pairs, G)  # [(i, j), k] = <e_i e_j, e_k>
+        right = F.mat_mul(G, pairs.T)  # [i, (j, k)] = <e_i, e_j e_k>
+        return np.array_equal(left.ravel(), right.ravel())
 
 
 @dataclass
@@ -290,13 +289,11 @@ def morphism_validate(theta):
         return False
     if not np.array_equal(M @ A.unit(), B.unit()):
         return False
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = M @ A.const[i, j]
-            rhs = B.multiply(M.data[:, i], M.data[:, j])
-            if not np.array_equal(lhs, rhs):
-                return False
-    return True
+    # theta(e_i e_j) against theta(e_i) theta(e_j), one row per pair (i, j)
+    d, images = A.dim, M.data.T
+    lhs = B.field.mat_mul(A.const.reshape(d * d, d), images)
+    rhs = B.multiply(np.repeat(images, d, axis=0), np.tile(images, (d, 1)))
+    return np.array_equal(lhs, rhs)
 
 
 # -- trivial extension -------------------------------------------------------
@@ -326,10 +323,8 @@ def trivial_extension(A):
     ct = np.zeros((dt, dt, dt), dtype=np.int64)
     ct[:d, :d, :d] = c
     # u_i . v_j = sum_t c[t,i,j] v_t   and   v_j . u_i = sum_t c[i,t,j] v_t
-    for i in range(d):
-        for j in range(d):
-            ct[i, d + j, d:] = c[:, i, j]
-            ct[d + j, i, d:] = c[i, :, j]
+    ct[:d, d:, d:] = c.transpose(1, 2, 0)
+    ct[d:, :d, d:] = c.transpose(2, 0, 1)
     labels = list(A.labels) + [f"{lbl}^*" for lbl in A.labels]
     TA = Algebra(F, labels, ct)
     lam = np.zeros(dt, dtype=np.int64)
@@ -425,16 +420,10 @@ def algebra_from_json(obj):
 def find_unit(field, const):
     """Coordinates of the unit element, or None if the algebra has none."""
     d = const.shape[0]
-    rows = []
-    rhs = []
-    for j in range(d):
-        for k in range(d):
-            rows.append(const[:, j, k])  # sum_i x_i c[i,j,k] = delta_jk
-            rhs.append(1 if j == k else 0)
-            rows.append(const[j, :, k])
-            rhs.append(1 if j == k else 0)
-    M = Matrix(field, np.stack(rows))
-    return row_reduce(M).solve(np.array(rhs, dtype=np.int64))
+    # x e_j = e_j and e_j x = e_j: sum_i x_i c[i,j,k] = delta_jk = sum_i x_i c[j,i,k]
+    rows = np.concatenate([const.transpose(1, 2, 0), const.transpose(0, 2, 1)])
+    rhs = np.tile(np.eye(d, dtype=np.int64).ravel(), 2)
+    return row_reduce(Matrix(field, rows.reshape(2 * d * d, d))).solve(rhs)
 
 
 def normalize_unit(field, labels, const):
@@ -446,31 +435,12 @@ def normalize_unit(field, labels, const):
     d = const.shape[0]
     if u[0] == 1 and not u[1:].any():
         return Algebra(field, labels, const)
-    # greedy deterministic completion of {unit} to a basis
-    chosen = [u]
-    chosen_labels = ["1"]
-    space = Subspace(field, d, [u])
-    for i in range(d):
-        if space.dim == d:
-            break
-        e = np.zeros(d, dtype=np.int64)
-        e[i] = 1
-        if not space.contains_vector(e):
-            chosen.append(e)
-            chosen_labels.append(labels[i])
-            space = space + Subspace(field, d, [e])
-    B = np.stack(chosen)  # rows: new basis in old coordinates
-    Binv_cols = []
-    red = row_reduce(Matrix(field, B.T))
-    for k in range(d):
-        e = np.zeros(d, dtype=np.int64)
-        e[k] = 1
-        Binv_cols.append(red.solve(e))
-    to_new = np.stack(Binv_cols, axis=1)  # old coords -> new coords
-    helper = Algebra(field, labels, const)
-    newc = np.zeros((d, d, d), dtype=np.int64)
-    for a in range(d):
-        for b in range(d):
-            prod_old = helper.multiply(B[a], B[b])
-            newc[a, b] = field.mat_mul(to_new, prod_old)
-    return Algebra(field, chosen_labels, newc)
+    # greedy completion of {unit} to a basis: the pivot columns of [u | I]
+    eye = np.eye(d, dtype=np.int64)
+    pivots = row_reduce(Matrix(field, np.hstack([u[:, None], eye]))).pivots
+    kept = [j - 1 for j in pivots[1:]]
+    B = np.vstack([u, eye[kept]])  # rows: new basis in old coordinates
+    to_new = row_reduce(Matrix(field, B.T)).solve(eye)  # row k: e_k in new coordinates
+    prods = Algebra(field, labels, const).multiply(np.repeat(B, d, axis=0), np.tile(B, (d, 1)))
+    newc = field.mat_mul(prods, to_new).reshape(d, d, d)
+    return Algebra(field, ["1"] + [labels[i] for i in kept], newc)

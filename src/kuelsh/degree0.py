@@ -20,13 +20,9 @@ from .fieldlin import Matrix, SemilinearMap, Subspace, preimage, row_reduce
 
 def center(A):
     """{z : z e_i = e_i z for all i}, the joint kernel of commutation constraints."""
-    d = A.dim
-    rows = []
-    for i in range(d):
-        # coefficient of the equation sum_t z_t (c[t,i,k] - c[i,t,k]) = 0
-        diff = A.field.vsub(A.const[:, i, :], A.const[i, :, :])  # (t, k)
-        rows.append(diff.T)  # (k, t)
-    E = np.concatenate(rows, axis=0)
+    d, c = A.dim, A.const
+    # row (i, k) holds the equation sum_t z_t (c[t,i,k] - c[i,t,k]) = 0
+    E = A.field.vsub(c.transpose(1, 2, 0), c.transpose(0, 2, 1)).reshape(d * d, d)
     return row_reduce(Matrix(A.field, E)).kernel
 
 
@@ -51,12 +47,7 @@ def ppower_on_HH0(A, n=1):
         raise ValueError("need n >= 1")
     ka, reps, qmap = hh0_data(A)
     F = A.field
-    h = reps.rows
-    cols = []
-    for j in range(h):
-        img = A.power(reps.data[j], F.p)
-        cols.append(qmap @ img)
-    M = np.stack(cols, axis=1) if h else np.zeros((0, 0), dtype=np.int64)
+    M = F.mat_mul(qmap.data, A.power(reps.data, F.p).T)  # column j: class of rep_j^p
     mu = SemilinearMap(Matrix(F, M), twist=1)
     _verify_well_defined(A, ka, qmap, mu)
     out = mu
@@ -68,17 +59,18 @@ def ppower_on_HH0(A, n=1):
 def _verify_well_defined(A, ka, qmap, mu, trials=100):
     if ka.dim == 0:
         return
-    F = A.field
+    F, d = A.field, A.dim
     rng = random.Random(2)
-    for _ in range(trials):
-        x = np.array([rng.randrange(F.q) for _ in range(A.dim)])
-        c = ka.lift(np.array([rng.randrange(F.q) for _ in range(ka.dim)]))
-        lhs = qmap @ A.power(F.vadd(x, c), F.p)
-        rhs = qmap @ A.power(x, F.p)
-        if not np.array_equal(lhs, rhs):
-            raise WellDefinednessViolation(
-                "class(x^p) changed when x moved by a commutator"
-            )
+    # one row per trial: x's d coordinates, then the commutator's ka.dim
+    draws = np.array(
+        [[rng.randrange(F.q) for _ in range(d + ka.dim)] for _ in range(trials)],
+        dtype=np.int64,
+    )
+    x, c = draws[:, :d], ka.lift(draws[:, d:])
+    lhs = F.mat_mul(A.power(F.vadd(x, c), F.p), qmap.data.T)
+    rhs = F.mat_mul(A.power(x, F.p), qmap.data.T)
+    if not np.array_equal(lhs, rhs):
+        raise WellDefinednessViolation("class(x^p) changed when x moved by a commutator")
 
 
 def kulshammer_T(A, n):
@@ -114,17 +106,11 @@ def zeta_n(A, lam, n):
     if gram_red.rank != A.dim:
         raise DegenerateForm("symmetrizing form has singular Gram matrix")
     Z = center(A)
-    powers = [A.power(A.basis_vector(j), F.p**n) for j in range(A.dim)]
-    cols = []
-    for s in range(Z.dim):
-        a = Z.basis.data[s]
-        w = np.array(
-            [F.frobenius(F.vdot(lam, A.multiply(a, powers[j])), -n) for j in range(A.dim)]
-        )
-        za = gram_red.solve(w)  # G^T zeta(a) = w
-        cols.append(Z.coords(za))
-    M = np.stack(cols, axis=1) if cols else np.zeros((0, 0), dtype=np.int64)
-    return SemilinearMap(Matrix(F, M), twist=-n)
+    powers = A.power(np.eye(A.dim, dtype=np.int64), F.p**n)  # row j: e_j^{p^n}
+    # row s: w_j = lam(a_s e_j^{p^n})^{p^-n} for the centre basis vector a_s
+    W = F.vfrob(F.mat_mul(F.mat_mul(Z.basis.data, form.gram.data), powers.T), -n)
+    za = gram_red.solve(W)  # row s: G^T zeta(a_s) = w
+    return SemilinearMap(Matrix(F, Z.coords(za).T), twist=-n)
 
 
 def kappa_n_direct(A, lam, n):
@@ -138,27 +124,15 @@ def kappa_n_direct(A, lam, n):
     h = reps.rows
     if Z.dim != h:
         raise DegenerateForm("dim Z(A) and dim A/KA differ; form cannot be symmetrizing")
-    gram0 = np.zeros((Z.dim, h), dtype=np.int64)
-    for s in range(Z.dim):
-        for t in range(h):
-            gram0[s, t] = F.vdot(lam, A.multiply(Z.basis.data[s], reps.data[t]))
-    g0 = row_reduce(Matrix(F, gram0))
+    # gram0[s, t] = lam(z_s b_t) for the centre basis z_s and representatives b_t
+    G, B = form.gram.data, reps.data.T
+    g0 = row_reduce(Matrix(F, F.mat_mul(F.mat_mul(Z.basis.data, G), B)))
     if g0.rank != h:
         raise DegenerateForm("pairing of Z(A) with A/KA is degenerate")
-    cols = []
-    for t in range(h):
-        b = reps.data[t]
-        w = np.array(
-            [
-                F.frobenius(
-                    F.vdot(lam, A.multiply(A.power(Z.basis.data[s], F.p**n), b)), -n
-                )
-                for s in range(Z.dim)
-            ]
-        )
-        cols.append(g0.solve(w))
-    M = np.stack(cols, axis=1) if cols else np.zeros((0, 0), dtype=np.int64)
-    return SemilinearMap(Matrix(F, M), twist=-n)
+    # row t: w_s = lam(z_s^{p^n} b_t)^{p^-n}
+    zp = A.power(Z.basis.data, F.p**n)
+    W = F.vfrob(F.mat_mul(F.mat_mul(zp, G), B), -n).T
+    return SemilinearMap(Matrix(F, g0.solve(W).T), twist=-n)
 
 
 def annihilator_in_dual(A, W):

@@ -17,6 +17,10 @@ operation tables.  Matrix products over an extension field split both factors
 into base-p digit planes and multiply all plane pairs in one float64 product.
 Prime fields are limited to p < 2^31, so every product of two reduced entries
 plus a reduced entry fits in int64.
+
+The vector operations (solve, reduce, coordinates and lift) take one vector
+or a (k, n) block of row vectors and act row by row: a block is one matrix
+product, and a single vector goes through the same code.
 """
 
 from __future__ import annotations
@@ -374,6 +378,14 @@ def _in_range(field, arr):
     return arr
 
 
+def _as_rows(field, v, length):
+    """v as a vector or a (k, length) block of row vectors, entries in range."""
+    arr = np.asarray(v, dtype=np.int64)
+    if arr.ndim not in (1, 2) or arr.shape[-1] != length:
+        raise DimensionMismatch(f"expected rows of length {length}, got shape {arr.shape}")
+    return _in_range(field, arr)
+
+
 def _as_vector(field, v, length=None):
     arr = np.asarray(v, dtype=np.int64)
     if arr.ndim != 1:
@@ -613,19 +625,23 @@ class RowReduction:
         return self._kernel
 
     def solve(self, b):
-        """Some x with Mx = b, or None when b is not in the column space."""
+        """Some x with Mx = b, or None when b is not in the column space.
+
+        For a (k, rows) block b, the (k, cols) solutions row by row, or None
+        when any row is outside the column space.
+        """
         F = self.matrix.field
         m, n = self.matrix.rows, self.matrix.cols
-        b = _as_vector(F, b, m)
+        b = _as_rows(F, b, m)
         if self._transform is None:
             aug = np.hstack([self.matrix.data, np.eye(m, dtype=np.int64)])
             Raug, _ = _rref(F, aug)
             self._transform = Raug[:, n:]
-        y = F.mat_mul(self._transform, b)
-        if y[self.rank :].any():
+        y = F.mat_mul(b, self._transform.T)
+        if y[..., self.rank :].any():
             return None
-        x = np.zeros(n, dtype=np.int64)
-        x[list(self.pivots)] = y[: self.rank]
+        x = np.zeros(b.shape[:-1] + (n,), dtype=np.int64)
+        x[..., list(self.pivots)] = y[..., : self.rank]
         return x
 
 
@@ -688,12 +704,7 @@ class Subspace:
     def reduce(self, v):
         """Canonical representative modulo this subspace of a vector, or of
         each row of a (k, n) block."""
-        v = np.asarray(v, dtype=np.int64)
-        if v.ndim not in (1, 2) or v.shape[-1] != self.ambient_dim:
-            raise DimensionMismatch(
-                f"expected rows of length {self.ambient_dim}, got shape {v.shape}"
-            )
-        v = _in_range(self.field, v)
+        v = _as_rows(self.field, v, self.ambient_dim)
         if self.dim == 0:
             return v.copy()
         coeffs = v[..., list(self.pivots)]
@@ -707,17 +718,16 @@ class Subspace:
         return not self.reduce(other.basis.data).any()
 
     def coords(self, v):
-        """Coordinates of v in the RREF basis; v must lie in the subspace."""
-        v = _as_vector(self.field, v, self.ambient_dim)
-        c = v[list(self.pivots)]
+        """Coordinates in the RREF basis of a vector, or of each row of a
+        (k, n) block; every row must lie in the subspace."""
+        v = _as_rows(self.field, v, self.ambient_dim)
         if self.reduce(v).any():
             raise NotASubspace("vector outside subspace has no coordinates")
-        return c
+        return v[..., list(self.pivots)]
 
     def lift(self, coords):
-        coords = _as_vector(self.field, coords, self.dim)
-        if self.dim == 0:
-            return np.zeros(self.ambient_dim, dtype=np.int64)
+        """The vector with these coordinates in the RREF basis, or each row's."""
+        coords = _as_rows(self.field, coords, self.dim)
         return self.field.mat_mul(coords, self.basis.data)
 
     def __add__(self, other):

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import BilinearForm
 from .errors import (
     AlgebraMismatch,
     NotACocycle,
@@ -261,17 +262,23 @@ class HomologyBasis:
     def dimension(self):
         return len(self.representatives)
 
+    @property
+    def block(self):
+        """The representatives as one (dimension, n) block of rows."""
+        n = self.cycles.ambient_dim
+        return np.array(self.representatives, dtype=np.int64).reshape(self.dimension, n)
+
     def express(self, v):
-        """Coordinates of a cycle's class in this basis.
+        """Coordinates of a cycle's class in this basis, or of each row's class
+        for a (k, n) block of cycles.
 
         The representatives are in RREF and reduced modulo the boundaries, so
         the class of v is w = boundaries.reduce(v), and its coordinates are w
         read at the representatives' pivots.
         """
-        F, n = self.cycles.field, self.cycles.ambient_dim
-        w = self.boundaries.reduce(_as_vector(F, v, n))
-        reps = np.array(self.representatives, dtype=np.int64).reshape(self.dimension, n)
-        coords = w[[np.flatnonzero(r)[0] for r in reps]]
+        F, reps = self.cycles.field, self.block
+        w = self.boundaries.reduce(v)
+        coords = w[..., [np.flatnonzero(r)[0] for r in reps]]
         if F.vsub(w, F.mat_mul(coords, reps)).any():
             raise NotACycle("vector is not a cycle modulo boundaries")
         return coords
@@ -336,20 +343,11 @@ def hh_of_map(theta, m, source_basis=None, target_basis=None):
     A, B = theta.source, theta.target
     src = source_basis if source_basis is not None else homology(A, m)
     tgt = target_basis if target_basis is not None else homology(B, m)
-    chain = induced_chain_map(theta, m)
-    cols = []
-    bnd = boundary_matrix(B, m) if m >= 1 else None
-    for rep in src.representatives:
-        v = chain @ rep
-        if bnd is not None and (bnd @ v).any():
-            raise NotACycle("induced image of a cycle is not a cycle")
-        cols.append(tgt.express(v))
-    M = (
-        np.stack(cols, axis=1)
-        if cols
-        else np.zeros((tgt.dimension, 0), dtype=np.int64)
-    )
-    return Matrix(B.field, M, copy=False)
+    F = B.field
+    images = F.mat_mul(src.block, induced_chain_map(theta, m).data.T)  # one row per rep
+    if m >= 1 and F.mat_mul(images, boundary_matrix(B, m).data.T).any():
+        raise NotACycle("induced image of a cycle is not a cycle")
+    return Matrix(F, tgt.express(images).T, copy=False)
 
 
 # -- duality pairing ---------------------------------------------------------------
@@ -361,10 +359,8 @@ def pairing_vector(lam, f):
     w[(i, J)] = lam(f(J) e_i) = sum_k f(J)_k G[k, i] with G[k, i] = lam(e_k e_i).
     """
     A = f.algebra
-    F, d = A.field, A.dim
-    lam = _as_vector(F, lam, d)
-    gram = F.mat_mul(A.const.reshape(d * d, d), lam).reshape(d, d)
-    return F.mat_mul(f.coeffs, gram).T.ravel()
+    gram = BilinearForm.from_linear_form(A, lam).gram.data
+    return A.field.mat_mul(f.coeffs, gram).T.ravel()
 
 
 def pairing(lam, f, c, check=True):
@@ -389,5 +385,4 @@ def gram_matrix(A, lam, m, cohom=None, homol=None):
         [pairing_vector(lam, Cochain.from_flat(A, m, zf)) for zf in ch.representatives],
         dtype=np.int64,
     ).reshape(ch.dimension, n)
-    H = np.array(ho.representatives, dtype=np.int64).reshape(ho.dimension, n)
-    return Matrix(A.field, A.field.mat_mul(W, H.T), copy=False)
+    return Matrix(A.field, A.field.mat_mul(W, ho.block.T), copy=False)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BilinearForm, trivial_extension
+from .algebra import trivial_extension
 from .errors import DegenerateForm, DimensionMismatch, NotACocycle, NotACycle
 from .fieldlin import Matrix, SemilinearMap, row_reduce
 from .hochschild import (
@@ -53,7 +53,7 @@ class KappaMap:
 
     @property
     def rank(self):
-        return row_reduce(self.map.matrix).rank
+        return self.map.rank
 
     def to_json(self, field):
         return {
@@ -68,7 +68,8 @@ class KappaMap:
 
 
 def _kappa_on_cycles(A, lam, m, n, cycles, check=True):
-    """Coordinates in the HH_m(A) basis of kappa applied to explicit cycles.
+    """Coordinates in the HH_m(A) basis of kappa applied to explicit cycles,
+    the rows of a block or a list of vectors; one column per cycle.
 
     Solves G c = phi^{-n}(b) with b_i = <z_i^{p^n}, cycle> for the canonical
     cohomology representatives z_i and the degree-m Gram matrix G.
@@ -93,31 +94,22 @@ def _kappa_on_cycles(A, lam, m, n, cycles, check=True):
         if check and not coboundary_apply(cz).is_zero():
             raise NotACocycle("cup power of a cocycle failed to be a cocycle")
         pair_vecs.append(pairing_vector(lam, cz))
-    bnd = boundary_matrix(A, e * m) if e * m >= 1 and cycles else None
-    for x in cycles:
-        x = np.asarray(x, dtype=np.int64)
-        if x.shape != (dom_dim,):
-            raise DimensionMismatch(
-                f"cycle of length {x.shape} in chain space of dim {dom_dim}"
-            )
-        if check and bnd is not None and (bnd @ x).any():
+    X = np.asarray(cycles, dtype=np.int64)
+    if X.ndim != 2 or X.shape[1] != dom_dim:
+        raise DimensionMismatch(f"cycles of shape {X.shape} in chain space of dim {dom_dim}")
+    # built only for a cycle to check: in kappa_hat it is TA's, which nothing else builds
+    if check and e * m >= 1 and len(X):
+        if F.mat_mul(X, boundary_matrix(A, e * m).data.T).any():
             raise NotACycle("kappa applied to a chain that is not a cycle")
     W = np.array(pair_vecs, dtype=np.int64).reshape(len(pair_vecs), dom_dim)
-    X = np.array(cycles, dtype=np.int64).reshape(len(cycles), dom_dim)
-    B = F.vfrob(F.mat_mul(W, X.T), -n)  # column j: phi^{-n}(b) for cycle j
-    cols = [gred.solve(B[:, j]) for j in range(len(cycles))]
-    M = (
-        np.stack(cols, axis=1)
-        if cols
-        else np.zeros((hom.dimension, 0), dtype=np.int64)
-    )
-    return Matrix(F, M, copy=False)
+    B = F.vfrob(F.mat_mul(X, W.T), -n)  # row j: phi^{-n}(b) for cycle j
+    return Matrix(F, gred.solve(B).T, copy=False)
 
 
 def kappa_m_n(A, lam, m, n):
     """kappa_n^(m): HH_{p^n m}(A) -> HH_m(A) for a symmetric algebra."""
     dom = homology(A, A.field.p**n * m)
-    M = _kappa_on_cycles(A, lam, m, n, list(dom.representatives))
+    M = _kappa_on_cycles(A, lam, m, n, dom.block)
     return KappaMap(A.field.p**n * m, m, SemilinearMap(M, twist=-n))
 
 
@@ -135,8 +127,7 @@ def kappa_hat(A, m, n):
     e = F.p**n
     dom = homology(A, e * m)
     push = induced_chain_map(te.iota, e * m)
-    pushed = [push @ rep for rep in dom.representatives]
-    inner = _kappa_on_cycles(TA, te.lam, m, n, pushed)
+    inner = _kappa_on_cycles(TA, te.lam, m, n, F.mat_mul(dom.block, push.data.T))
     down = hh_of_map(te.pi, m)
     return KappaMap(e * m, m, SemilinearMap(down @ inner, twist=-n))
 

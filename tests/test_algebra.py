@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -26,12 +27,13 @@ from kuelsh.catalog import (
     truncated_polynomial,
     upper_triangular,
 )
-from kuelsh.errors import FieldMismatch
+from kuelsh.errors import DimensionMismatch, FieldMismatch
 from kuelsh.fieldlin import FiniteField, Matrix, row_reduce
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
 F4 = FiniteField(2, 2, [1, 1, 1])
+F9 = FiniteField(3, 2, [1, 0, 1])
 
 CORPUS = standard_corpus()
 
@@ -76,6 +78,23 @@ def test_broken_algebra_reported():
     rep = algebra_validate(Algebra(F2, ("1", "eps"), c))
     assert not rep.ok
     assert rep.unit_violations
+
+
+def test_unit_violations_in_basis_order():
+    rng = random.Random(3)
+    d = 4
+    c = np.array([[[rng.randrange(3) for _ in range(d)] for _ in range(d)] for _ in range(d)])
+    c[0, 2] = c[2, 0] = np.eye(d, dtype=np.int64)[2]  # e_2 alone is unit-compatible
+    A = Algebra(F3, ("a", "b", "c", "d"), c)
+    ref = []
+    for i in range(d):
+        e = A.basis_vector(i)
+        if not np.array_equal(A.multiply(A.unit(), e), e):
+            ref.append(("left", i))
+        if not np.array_equal(A.multiply(e, A.unit()), e):
+            ref.append(("right", i))
+    assert ("left", 0) in ref and ("right", 3) in ref and ("left", 2) not in ref
+    assert algebra_validate(A).unit_violations == ref
 
 
 def test_validate_reports_nonassociative_triple():
@@ -282,6 +301,50 @@ def test_tensor_dual_dual():
     assert np.array_equal(T.multiply(x, y), T.basis_vector(3))
 
 
+def ref_tensor_const(A, B):
+    F, da, db = A.field, A.dim, B.dim
+    c = np.zeros((da * db,) * 3, dtype=np.int64)
+    for i1, j1, i2, j2, k1, k2 in itertools.product(range(da), range(db), repeat=3):
+        a, b = int(A.const[i1, i2, k1]), int(B.const[j1, j2, k2])
+        c[i1 * db + j1, i2 * db + j2, k1 * db + k2] = F.mul(a, b)
+    return c
+
+
+def test_tensor_product_matches_scalar_reference():
+    # non-commutative factors of different dimensions, so every axis matters
+    for F in (F2, F3, F4, F9):
+        ut2 = upper_triangular(F, 2)
+        for A, B in ((ut2, dual_numbers(F)), (truncated_polynomial(F, 3), ut2)):
+            assert tensor_product(A, B).const.tolist() == ref_tensor_const(A, B).tolist()
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4, F9], ids=repr)
+def test_block_products_match_single_rows(F):
+    rng = random.Random(17 * F.q)
+    for A in (
+        trivial_extension(upper_triangular(F, 2)).algebra,
+        truncated_polynomial(F, 3),
+        field_algebra(F),
+    ):
+        d = A.dim
+        for k in (0, 1, 6):
+            X, Y = (
+                np.array([[rng.randrange(F.q) for _ in range(d)] for _ in range(k)]).reshape(k, d)
+                for _ in range(2)
+            )
+            prod = A.multiply(X, Y)
+            assert prod.shape == (k, d)
+            assert prod.tolist() == [A.multiply(x, y).tolist() for x, y in zip(X, Y)]
+            for a, b in ((X, Y[:-1]), (X[:-1], Y), (X, A.unit())):
+                if a.shape != b.shape:
+                    with pytest.raises(DimensionMismatch):
+                        A.multiply(a, b)
+            for e in (1, 2, F.p, 5):
+                pw = A.power(X, e)
+                assert pw.shape == (k, d)
+                assert pw.tolist() == [A.power(x, e).tolist() for x in X]
+
+
 def test_tensor_corpus_pairs_validate():
     small = [CORPUS["dual_f2"], CORPUS["ut2_f2"], CORPUS["k_f2"]]
     for A in small:
@@ -412,6 +475,36 @@ def test_zero_map_not_unital():
     A = dual_numbers(F2)
     theta = AlgebraMorphism(A, A, Matrix.zeros(F2, 2, 2))
     assert not morphism_validate(theta)
+
+
+def test_unital_maps_checked_on_products():
+    for F in (F2, F3, F4):
+        A = dual_numbers(F)
+        # eps -> 1 + eps keeps the unit but not eps^2 = 0
+        assert not morphism_validate(AlgebraMorphism(A, A, Matrix(F, [[1, 1], [0, 1]])))
+        # eps -> c eps is an automorphism for every nonzero c
+        for c in range(1, F.q):
+            assert morphism_validate(AlgebraMorphism(A, A, Matrix(F, [[1, 0], [0, c]])))
+
+
+def test_is_associative_matches_triple_loop():
+    rng = random.Random(9)
+    seen = set()
+    for A in (upper_triangular(F3, 2), dual_numbers(F4), trivial_extension(dual_numbers(F2)).algebra):
+        F, d = A.field, A.dim
+        lams = [[rng.randrange(F.q) for _ in range(d)] for _ in range(3)]
+        grams = [[[rng.randrange(F.q) for _ in range(d)] for _ in range(d)] for _ in range(3)]
+        forms = [BilinearForm.from_linear_form(A, lam) for lam in lams]
+        forms += [BilinearForm(F, g) for g in grams]
+        for form in forms:
+            e = A.basis_vector
+            expect = all(
+                form.pairing(A.multiply(e(i), e(j)), e(k)) == form.pairing(e(i), A.multiply(e(j), e(k)))
+                for i, j, k in itertools.product(range(d), repeat=3)
+            )
+            assert form.is_associative(A) == expect
+            seen.add(expect)
+    assert seen == {True, False}
 
 
 # -- JSON round trip ----------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,11 +9,12 @@ import pytest
 import kuelsh.cli
 import kuelsh.kappa
 from kuelsh.algebra import algebra_to_json
-from kuelsh.catalog import dual_numbers
+from kuelsh.catalog import dual_numbers, write_corpus
 from kuelsh.cli import main
 from kuelsh.fieldlin import FiniteField
 
-CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CORPUS_DIR = os.path.join(ROOT, "corpus")
 
 
 def corpus(name):
@@ -328,3 +331,39 @@ def test_reports_byte_identical(capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_corpus_writer_reproduces_bundled_files(tmp_path):
+    written = write_corpus(tmp_path)
+    names = sorted(os.path.basename(path) for path in written)
+    assert names == sorted(f for f in os.listdir(CORPUS_DIR) if f.endswith(".json"))
+    for name in names:
+        with open(tmp_path / name, "rb") as new, open(corpus(name[:-5]), "rb") as old:
+            assert new.read() == old.read(), name
+
+
+# -- the benchmark's tracer ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kappa", corpus("dual_f3"), "--m", "1", "--n", "1", "--hat"],
+        ["degree0", corpus("m2_f3"), "--n", "2"],
+    ],
+    ids=["kappa", "degree0"],
+)
+def test_traced_run_matches_untraced(tmp_path, argv):
+    # bench/tracer.py wraps library functions by name; a renamed one breaks it
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("KUELSH_CACHE_DIR", None)
+    spans = tmp_path / "spans.json"
+    tracer = [sys.executable, os.path.join(ROOT, "bench", "tracer.py"), str(spans), "job", "--"]
+    traced = subprocess.run(tracer + argv, env=env, capture_output=True, timeout=300)
+    plain = subprocess.run(
+        [sys.executable, "-m", "kuelsh.cli"] + argv, env=env, capture_output=True, timeout=300
+    )
+    assert traced.returncode == 0, traced.stderr.decode()[-2000:]
+    assert plain.returncode == 0
+    assert traced.stdout == plain.stdout
+    assert json.loads(spans.read_text())["spans"]

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from kuelsh.catalog import truncated_polynomial
 from kuelsh.errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -23,6 +24,7 @@ from kuelsh.fieldlin import (
     preimage,
     row_reduce,
 )
+from kuelsh.hochschild import homology
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -494,11 +496,67 @@ def test_batched_reduce_matches_single_rows(F):
         assert V.quotient_basis(W).data.tolist() == ref[: len(piv)]
 
 
+def rand_block(F, k, n, rng):
+    return np.array(
+        [[rng.randrange(F.q) for _ in range(n)] for _ in range(k)], dtype=np.int64
+    ).reshape(k, n)
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4, F9], ids=repr)
+def test_block_solve_matches_single_rows(F):
+    rng = random.Random(11 * F.q)
+    for m, n, rank, k in [(1, 1, 0, 3), (5, 7, 3, 0), (6, 4, 4, 5), (9, 12, 5, 8), (0, 3, 0, 2)]:
+        M = Matrix(F, rand_rank(F, m, n, rank, rng))
+        red = row_reduce(M)
+        B = F.mat_mul(rand_block(F, k, n, rng), M.data.T)  # rows M x: solvable
+        sol = red.solve(B)
+        assert sol.shape == (k, n)
+        assert sol.tolist() == [red.solve(b).tolist() for b in B]
+        assert F.mat_mul(sol, M.data.T).tolist() == B.tolist()
+        if rank == m or k == 0:
+            continue
+        # one unsolvable row, placed last, makes the whole block unsolvable
+        bad = next(b for b in rand_block(F, 100, m, rng) if red.solve(b) is None)
+        B[-1] = bad
+        assert red.solve(B) is None
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4, F9], ids=repr)
+def test_block_coords_and_lift_match_single_rows(F):
+    rng = random.Random(13 * F.q)
+    for n, wdim, k in [(1, 0, 3), (5, 2, 0), (9, 4, 6), (65, 20, 7), (4, 4, 2)]:
+        W = Subspace(F, n, rand_rank(F, wdim, n, wdim, rng))
+        C = rand_block(F, k, wdim, rng)
+        V = W.lift(C)
+        assert V.shape == (k, n)
+        assert V.tolist() == [W.lift(c).tolist() for c in C]
+        assert W.coords(V).tolist() == C.tolist()
+        assert W.coords(V).tolist() == [W.coords(v).tolist() for v in V]
+        outside = next((e for e in np.eye(n, dtype=np.int64) if not W.contains_vector(e)), None)
+        if outside is not None and k:
+            V[-1] = outside
+            with pytest.raises(NotASubspace):
+                W.coords(V)
+
+
 def test_reduce_rejects_bad_shapes():
+    # every row-block API, each taking rows of length 3
+    A = truncated_polynomial(F3, 3)
     W = Subspace(F3, 3, [[1, 0, 0]])
-    for bad in ([1, 2], [[1, 2]], np.zeros((1, 1, 3), dtype=np.int64)):
-        with pytest.raises(DimensionMismatch):
-            W.reduce(bad)
+    apis = [
+        W.reduce,
+        W.coords,
+        Subspace.full(F3, 3).lift,
+        row_reduce(Matrix.identity(F3, 3)).solve,
+        lambda v: A.multiply(v, A.unit()),
+        lambda v: A.multiply(A.unit(), v),
+        lambda v: A.power(v, 2),
+        homology(A, 0).express,
+    ]
+    for api in apis:
+        for bad in ([1, 2], [[1, 2]], np.zeros((1, 1, 3), dtype=np.int64)):
+            with pytest.raises(DimensionMismatch):
+                api(bad)
 
 
 # -- entries outside 0..q-1 ------------------------------------------------

@@ -349,6 +349,42 @@ def test_express_matches_solver_reference():
                     hb.express(e)
 
 
+@pytest.mark.parametrize("F", [F2, F3, F4, F9], ids=repr)
+def test_block_express_matches_single_rows(F):
+    # field_algebra has 0-dimensional chain spaces from degree 1 on
+    rng = random.Random(29 * F.q)
+    for A in (field_algebra(F), dual_numbers(F), trivial_extension(dual_numbers(F)).algebra):
+        hbs = [homology(A, m) for m in range(3)] + [cohomology(A, m) for m in range(2)]
+        for hb in hbs:
+            Z, n = hb.cycles, hb.cycles.ambient_dim
+            for k in (0, 1, 5):
+                C = np.array([[rng.randrange(F.q) for _ in range(Z.dim)] for _ in range(k)])
+                V = Z.lift(C.reshape(k, Z.dim))
+                coords = hb.express(V)
+                assert coords.shape == (k, hb.dimension)
+                assert coords.tolist() == [hb.express(v).tolist() for v in V]
+                outside = [e for e in np.eye(n, dtype=np.int64) if not Z.contains_vector(e)]
+                if outside and k:
+                    V[-1] = outside[0]
+                    with pytest.raises(NotACycle):
+                        hb.express(V)
+
+
+def test_hh_of_map_matches_rep_by_rep():
+    # iota and pi between A and TA: rectangular maps, one column per source rep
+    for name in ("k_f2", "dual_f2", "dual_f3", "ut2_f3"):
+        te = trivial_extension(CORPUS[name])
+        for theta in (te.iota, te.pi):
+            for m in range(3):
+                src, tgt = homology(theta.source, m), homology(theta.target, m)
+                chain = induced_chain_map(theta, m)
+                cols = [tgt.express(chain @ rep) for rep in src.representatives]
+                expect = np.array(cols, dtype=np.int64).reshape(src.dimension, tgt.dimension).T
+                M = hh_of_map(theta, m)
+                assert M.data.shape == expect.shape
+                assert M.data.tolist() == expect.tolist(), (name, m)
+
+
 # -- cup products -----------------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ from kuelsh.algebra import (
 )
 from kuelsh.catalog import dual_numbers, field_algebra, standard_corpus, upper_triangular
 from kuelsh.degree0 import hh0_data, kappa_n_direct
+from kuelsh.errors import DimensionMismatch, NotACycle
 from kuelsh.fieldlin import FiniteField, Matrix, row_reduce
 from kuelsh.hochschild import (
     Cochain,
@@ -185,6 +186,22 @@ def test_cohomology_representative_independence():
             wb = pairing_vector(lam, cup_power(zb, A.field.p**n))
             for x in hom2.representatives:
                 assert A.field.vdot(wz, x) == A.field.vdot(wb, x)
+
+
+def test_kappa_on_cycles_checks_every_row():
+    A = dual_numbers(F3)
+    lam = lam_of(A)
+    m, n = 2, 1
+    dom = homology(A, 3 * m)
+    bnd = boundary_matrix(A, 3 * m)
+    non_cycle = next(e for e in np.eye(chain_dim(A, 3 * m), dtype=np.int64) if (bnd @ e).any())
+    assert _kappa_on_cycles(A, lam, m, n, dom.block[:0]).data.shape == (homology(A, m).dimension, 0)
+    for block in ([non_cycle], np.vstack([dom.block, non_cycle])):
+        with pytest.raises(NotACycle):
+            _kappa_on_cycles(A, lam, m, n, block)
+    for bad in (dom.block[0], dom.block[:, 1:]):
+        with pytest.raises(DimensionMismatch):
+            _kappa_on_cycles(A, lam, m, n, bad)
 
 
 def test_kappa_semilinearity_over_f4():
