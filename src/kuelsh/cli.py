@@ -39,6 +39,13 @@ class ParseFailure(Exception):
     """Schema or file level problem; maps to exit code 2."""
 
 
+def _degree(text):
+    """argparse type of --m, --n and --max-degree: an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _load_algebra(path):
     try:
         with open(path) as fh:
@@ -214,7 +221,7 @@ def build_parser():
 
     p = sub.add_parser("degree0", help="commutator space, centre, T_n and friends")
     p.add_argument("path")
-    p.add_argument("--n", type=int, default=1, help="largest power index n")
+    p.add_argument("--n", type=_degree, default=1, help="largest power index n")
     p.add_argument(
         "--form",
         default="auto",
@@ -224,7 +231,7 @@ def build_parser():
 
     p = sub.add_parser("hh", help="Hochschild homology dimension table")
     p.add_argument("path")
-    p.add_argument("--max-degree", type=int, default=3, dest="max_degree")
+    p.add_argument("--max-degree", type=_degree, default=3, dest="max_degree")
     p.add_argument("--budget", type=int, default=DEFAULT_COLUMN_BUDGET)
     p.add_argument("--force", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -233,8 +240,8 @@ def build_parser():
 
     p = sub.add_parser("kappa", help="higher Kulshammer maps")
     p.add_argument("path")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=_degree, required=True)
+    p.add_argument("--n", type=_degree, required=True)
     p.add_argument("--hat", action="store_true", help="trivial-extension route")
     p.add_argument("--form", default="auto")
     p.set_defaults(func=cmd_kappa)

@@ -49,14 +49,14 @@ def ppower_on_HH0(A, n=1):
     F = A.field
     M = F.mat_mul(qmap.data, A.power(reps.data, F.p).T)  # column j: class of rep_j^p
     mu = SemilinearMap(Matrix(F, M), twist=1)
-    _verify_well_defined(A, ka, qmap, mu)
+    _verify_well_defined(A, ka, qmap)
     out = mu
     for _ in range(n - 1):
         out = mu.compose(out)
     return out
 
 
-def _verify_well_defined(A, ka, qmap, mu, trials=100):
+def _verify_well_defined(A, ka, qmap, trials=100):
     if ka.dim == 0:
         return
     F, d = A.field, A.dim

@@ -12,11 +12,14 @@ updates only the columns right of the pivot and delays reduction mod p: each
 pivot reduces its column and its row, the trailing update has no `%`, and the
 trailing block is reduced only after (2^63 - p) // (p-1)^2 updates, the most
 that cannot wrap int64: every second update at p = 2^31 - 1, and for p <= 7
-after more than 10^17, so never.  Extension fields go through precomputed
-operation tables.  Matrix products over an extension field split both factors
-into base-p digit planes and multiply all plane pairs in one float64 product.
-Prime fields are limited to p < 2^31, so every product of two reduced entries
-plus a reduced entry fits in int64.
+after more than 10^17, so never.  Matrix products over an extension field
+split both factors into base-p digit planes, multiply all plane pairs in one
+float64 product, and fold x^i x^j back into the power basis.  That fold is
+the one definition of the product: the operation tables of an extension
+field (add, sub, neg, mul, inverse, Frobenius) are built from it, and the
+scalar operations are the vector operations on single entries.  Prime fields
+are limited to p < 2^31, so every product of two reduced entries plus a
+reduced entry fits in int64.
 
 The vector operations (solve, reduce, coordinates and lift) take one vector
 or a (k, n) block of row vectors and act row by row: a block is one matrix
@@ -126,13 +129,6 @@ class FiniteField:
 
     # -- scalar arithmetic ------------------------------------------------
 
-    def _digits(self, a):
-        out = []
-        for _ in range(self.r):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
     def _index(self, digits):
         a = 0
         for c in reversed(digits):
@@ -140,86 +136,47 @@ class FiniteField:
         return a
 
     def _build_tables(self):
+        """Operation tables of F_{p^r}; the product is the digit-plane fold.
+
+        _FOLD_F[i, j] holds the power-basis coefficients of x^{i+j}, the one
+        definition of multiplication: `mat_mul` contracts digit planes with
+        it, and _MUL is the same contraction over every pair of elements.
+        """
         p, r, q = self.p, self.r, self.q
-        # x^s mod modulus for s = r .. 2r-2
-        red = []
-        cur = [0] * r
-        cur_full = [0] * r + [1]  # x^r
-        rem = _poly_divmod(cur_full, list(self.modulus), p)
-        red.append(rem)
-        for _ in range(r - 2):
-            nxt = [0] + red[-1][:]  # multiply by x
-            rem = _poly_divmod(nxt + [0], list(self.modulus), p)
-            red.append(rem)
-        # x^i x^j in the power basis: fold[i, j] holds its r coefficients
-        fold = np.zeros((r, r, r), dtype=np.int64)
-        for i in range(r):
-            for j in range(r):
-                if i + j < r:
-                    fold[i, j, i + j] = 1
-                else:
-                    fold[i, j] = red[i + j - r]
+        # x^s mod modulus for s = 0 .. 2r-2, the padding makes each r long
+        x_pow = [_poly_divmod([0] * s + [1] + [0] * r, self.modulus, p) for s in range(2 * r - 1)]
+        fold = np.array([[x_pow[i + j] for j in range(r)] for i in range(r)])
         self._FOLD_F = fold.astype(np.float64)
-        dig = np.zeros((q, r), dtype=np.int64)
-        for a in range(q):
-            dig[a] = self._digits(a)
+        self._ENC = p ** np.arange(r, dtype=np.int64)
+        dig = (np.arange(q)[:, None] // self._ENC) % p
         self._DIG = dig
-        powers = p ** np.arange(r, dtype=np.int64)
-        self._ENC = powers
-        add = (dig[:, None, :] + dig[None, :, :]) % p
-        self._ADD = add @ powers
-        self._NEG = ((-dig) % p) @ powers
-        mul = np.zeros((q, q), dtype=np.int64)
-        for a in range(q):
-            da = self._digits(a)
-            for b in range(q):
-                db = self._digits(b)
-                conv = [0] * (2 * r - 1)
-                for i, ai in enumerate(da):
-                    if ai:
-                        for j, bj in enumerate(db):
-                            conv[i + j] = (conv[i + j] + ai * bj) % p
-                out = conv[:r]
-                for k in range(r - 1):
-                    c = conv[r + k]
-                    if c:
-                        for t in range(r):
-                            out[t] = (out[t] + c * red[k][t]) % p
-                mul[a, b] = self._index(out)
-        self._MUL = mul
-        inv = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            inv[a] = int(np.flatnonzero(mul[a] == 1)[0])
-        self._INV = inv
-        frob = np.zeros((r, q), dtype=np.int64)
-        frob[0] = np.arange(q)
-        for a in range(q):
-            frob[1 % r, a] = self.pow(a, p) if r > 1 else a
-        for s in range(2, r):
-            frob[s] = frob[1][frob[s - 1]]
-        self._FROB = frob
-        # subtraction table, used by the elimination kernel
-        self._SUB = self._ADD[np.arange(q)[:, None], self._NEG[None, :]]
+        self._ADD = ((dig[:, None] + dig[None]) % p) @ self._ENC
+        self._NEG = ((-dig) % p) @ self._ENC
+        self._SUB = self._ADD[:, self._NEG]
+        conv = np.einsum("ai,bj,ijk->abk", dig, dig, fold, optimize=True)
+        self._MUL = (conv % p) @ self._ENC
+        self._INV = np.argmax(self._MUL == 1, axis=1)  # row 0 has no 1: _INV[0] = 0
+        # a^p by p - 1 table lookups (p <= 19 here), then a^{p^s} = (a^{p^{s-1}})^p
+        a = np.arange(q)
+        a_p = a
+        for _ in range(p - 1):
+            a_p = self._MUL[a_p, a]
+        frob = [a]
+        for _ in range(r - 1):
+            frob.append(a_p[frob[-1]])
+        self._FROB = np.array(frob)
 
     def add(self, a, b):
-        if self.r == 1:
-            return (a + b) % self.p
-        return int(self._ADD[a, b])
+        return int(self.vadd(a, b))
 
     def sub(self, a, b):
-        if self.r == 1:
-            return (a - b) % self.p
-        return int(self._SUB[a, b])
+        return int(self.vsub(a, b))
 
     def neg(self, a):
-        if self.r == 1:
-            return (-a) % self.p
-        return int(self._NEG[a])
+        return int(self.vneg(a))
 
     def mul(self, a, b):
-        if self.r == 1:
-            return (a * b) % self.p
-        return int(self._MUL[a, b])
+        return int(self.vmul(a, b))
 
     def inv(self, a):
         if a % self.q == 0:
@@ -241,10 +198,7 @@ class FiniteField:
 
     def frobenius(self, a, s=1):
         """a^{p^s}; negative s means the inverse Frobenius (s is taken mod r)."""
-        s %= self.r
-        if self.r == 1 or s == 0:
-            return a
-        return int(self._FROB[s, a])
+        return int(self.vfrob(a, s))
 
     def elements(self):
         return range(self.q)
@@ -253,7 +207,7 @@ class FiniteField:
         """Serialization form: bare int for prime fields, digit list otherwise."""
         if self.r == 1:
             return int(a)
-        return [int(c) for c in self._digits(int(a))]
+        return [int(c) for c in self._DIG[int(a)]]
 
     def decode_scalar(self, obj):
         if self.r == 1:
@@ -322,12 +276,7 @@ class FiniteField:
         return self._FROB[s][x]
 
     def vdot(self, x, y):
-        if self.r == 1:
-            if x.shape[0] * (self.p - 1) ** 2 < 2**63:
-                return int(np.dot(x, y) % self.p)
-            return int(self.mat_mul(x, y))
-        planes = self._DIG[self._MUL[x, y]]
-        return self._index(list(planes.sum(axis=0) % self.p))
+        return int(self.mat_mul(x, y))
 
     def mat_mul(self, a, b):
         """Exact product of index matrices; float64 BLAS when provably exact."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -284,42 +285,34 @@ class HomologyBasis:
         return coords
 
 
+def _homology_basis(F, m, n, outgoing, incoming):
+    """Degree-m homology on an n-dimensional space: cycles are the kernel of
+    outgoing(), boundaries the row space of incoming() transposed, built in
+    that order (None is a zero map), representatives the quotient basis."""
+    cycles = Subspace.full(F, n) if outgoing is None else row_reduce(outgoing()).kernel
+    boundaries = Subspace(F, n) if incoming is None else Subspace(F, n, incoming().data.T)
+    reps = cycles.quotient_basis(boundaries)
+    return HomologyBasis(m, tuple(row for row in reps.data), cycles, boundaries)
+
+
 def homology(A, m):
     """HH_m via the normalized bar complex, with canonical representatives."""
     key = ("homology", m)
-    if key in A._cache:
-        return A._cache[key]
-    F = A.field
-    n = chain_dim(A, m)
-    if m == 0:
-        cycles = Subspace.full(F, n)
-    else:
-        cycles = row_reduce(boundary_matrix(A, m)).kernel
-    nxt = boundary_matrix(A, m + 1)
-    boundaries = Subspace(F, n, nxt.data.T)
-    reps = cycles.quotient_basis(boundaries)
-    hb = HomologyBasis(m, tuple(row for row in reps.data), cycles, boundaries)
-    A._cache[key] = hb
-    return hb
+    if key not in A._cache:
+        outgoing = partial(boundary_matrix, A, m) if m else None
+        incoming = partial(boundary_matrix, A, m + 1)
+        A._cache[key] = _homology_basis(A.field, m, chain_dim(A, m), outgoing, incoming)
+    return A._cache[key]
 
 
 def cohomology(A, m):
     """HH^m via normalized cochains, with canonical representatives."""
     key = ("cohomology", m)
-    if key in A._cache:
-        return A._cache[key]
-    F = A.field
-    n = cochain_dim(A, m)
-    cocycles = row_reduce(coboundary_matrix(A, m)).kernel
-    if m == 0:
-        cobound = Subspace(F, n)
-    else:
-        prev = coboundary_matrix(A, m - 1)
-        cobound = Subspace(F, n, prev.data.T)
-    reps = cocycles.quotient_basis(cobound)
-    hb = HomologyBasis(m, tuple(row for row in reps.data), cocycles, cobound)
-    A._cache[key] = hb
-    return hb
+    if key not in A._cache:
+        outgoing = partial(coboundary_matrix, A, m)
+        incoming = partial(coboundary_matrix, A, m - 1) if m else None
+        A._cache[key] = _homology_basis(A.field, m, cochain_dim(A, m), outgoing, incoming)
+    return A._cache[key]
 
 
 # -- functoriality ---------------------------------------------------------------
@@ -353,36 +346,38 @@ def hh_of_map(theta, m, source_basis=None, target_basis=None):
 # -- duality pairing ---------------------------------------------------------------
 
 
-def pairing_vector(lam, f):
-    """w with <f, c> = w . c for every chain c of f's degree.
+def _pairing_rows(A, lam, m, cochains):
+    """The pairing vector of each row of a (k, cochain_dim(A, m)) block of
+    degree-m cochain coefficients: one Gram matrix and one product.
 
     w[(i, J)] = lam(f(J) e_i) = sum_k f(J)_k G[k, i] with G[k, i] = lam(e_k e_i).
     """
-    A = f.algebra
+    d, rows = A.dim, (A.dim - 1) ** m
+    cochains = np.asarray(cochains, dtype=np.int64)
+    k = len(cochains)
     gram = BilinearForm.from_linear_form(A, lam).gram.data
-    return A.field.mat_mul(f.coeffs, gram).T.ravel()
+    prod = A.field.mat_mul(cochains.reshape(k * rows, d), gram)
+    return prod.reshape(k, rows, d).transpose(0, 2, 1).reshape(k, d * rows)
 
 
-def pairing(lam, f, c, check=True):
+def pairing_vector(lam, f):
+    """w with <f, c> = w . c for every chain c of f's degree."""
+    return _pairing_rows(f.algebra, lam, f.degree, f.coeffs[None])[0]
+
+
+def pairing(lam, f, c):
     """Chain-level duality pairing <f, a_0 (x) args> = lam(f(args) . a_0)."""
     A = f.algebra
     c = _as_vector(A.field, c, chain_dim(A, f.degree))
-    if check:
-        if not coboundary_apply(f).is_zero():
-            raise NotACocycle("pairing needs a cocycle")
-        if f.degree >= 1 and (boundary_matrix(A, f.degree) @ c).any():
-            raise NotACycle("pairing needs a cycle")
+    if not coboundary_apply(f).is_zero():
+        raise NotACocycle("pairing needs a cocycle")
+    if f.degree >= 1 and (boundary_matrix(A, f.degree) @ c).any():
+        raise NotACycle("pairing needs a cycle")
     return A.field.vdot(pairing_vector(lam, f), c)
 
 
-def gram_matrix(A, lam, m, cohom=None, homol=None):
+def gram_matrix(A, lam, m):
     """Pairing of cohomology and homology representatives; invertible iff the
     degree-m duality is nondegenerate on the chosen bases."""
-    ch = cohom if cohom is not None else cohomology(A, m)
-    ho = homol if homol is not None else homology(A, m)
-    n = chain_dim(A, m)
-    W = np.array(
-        [pairing_vector(lam, Cochain.from_flat(A, m, zf)) for zf in ch.representatives],
-        dtype=np.int64,
-    ).reshape(ch.dimension, n)
-    return Matrix(A.field, A.field.mat_mul(W, ho.block.T), copy=False)
+    W = _pairing_rows(A, lam, m, cohomology(A, m).block)
+    return Matrix(A.field, A.field.mat_mul(W, homology(A, m).block.T), copy=False)

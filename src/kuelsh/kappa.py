@@ -24,6 +24,7 @@ from .errors import DegenerateForm, DimensionMismatch, NotACocycle, NotACycle
 from .fieldlin import Matrix, SemilinearMap, row_reduce
 from .hochschild import (
     Cochain,
+    _pairing_rows,
     boundary_matrix,
     chain_dim,
     coboundary_apply,
@@ -33,7 +34,6 @@ from .hochschild import (
     hh_of_map,
     homology,
     induced_chain_map,
-    pairing_vector,
 )
 
 
@@ -67,7 +67,7 @@ class KappaMap:
         }
 
 
-def _kappa_on_cycles(A, lam, m, n, cycles, check=True):
+def _kappa_on_cycles(A, lam, m, n, cycles):
     """Coordinates in the HH_m(A) basis of kappa applied to explicit cycles,
     the rows of a block or a list of vectors; one column per cycle.
 
@@ -76,32 +76,28 @@ def _kappa_on_cycles(A, lam, m, n, cycles, check=True):
     """
     F = A.field
     coh = cohomology(A, m)
-    hom = homology(A, m)
-    if coh.dimension != hom.dimension:
+    if coh.dimension != homology(A, m).dimension:
         raise DegenerateForm(
             f"degree-{m} homology and cohomology dimensions differ; "
             "the duality pairing cannot be nondegenerate"
         )
-    G = gram_matrix(A, lam, m, cohom=coh, homol=hom)
+    G = gram_matrix(A, lam, m)
     gred = row_reduce(G)
     if gred.rank != G.rows:
         raise DegenerateForm(f"degree-{m} duality Gram matrix is singular")
     e = F.p**n
     dom_dim = chain_dim(A, e * m)
-    pair_vecs = []
-    for zf in coh.representatives:
-        cz = cup_power(Cochain.from_flat(A, m, zf), e)
-        if check and not coboundary_apply(cz).is_zero():
-            raise NotACocycle("cup power of a cocycle failed to be a cocycle")
-        pair_vecs.append(pairing_vector(lam, cz))
+    powers = [cup_power(Cochain.from_flat(A, m, zf), e) for zf in coh.representatives]
+    if not all(coboundary_apply(cz).is_zero() for cz in powers):
+        raise NotACocycle("cup power of a cocycle failed to be a cocycle")
+    W = _pairing_rows(A, lam, e * m, [cz.flat() for cz in powers])
     X = np.asarray(cycles, dtype=np.int64)
     if X.ndim != 2 or X.shape[1] != dom_dim:
         raise DimensionMismatch(f"cycles of shape {X.shape} in chain space of dim {dom_dim}")
     # built only for a cycle to check: in kappa_hat it is TA's, which nothing else builds
-    if check and e * m >= 1 and len(X):
+    if e * m >= 1 and len(X):
         if F.mat_mul(X, boundary_matrix(A, e * m).data.T).any():
             raise NotACycle("kappa applied to a chain that is not a cycle")
-    W = np.array(pair_vecs, dtype=np.int64).reshape(len(pair_vecs), dom_dim)
     B = F.vfrob(F.mat_mul(X, W.T), -n)  # row j: phi^{-n}(b) for cycle j
     return Matrix(F, gred.solve(B).T, copy=False)
 

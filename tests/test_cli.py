@@ -315,6 +315,33 @@ def test_kappa_requires_symmetry_without_hat(capsys):
     assert "symmetrizing" in err or "hat" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kappa", corpus("dual_f3"), "--m", "-1", "--n", "1"],
+        ["kappa", corpus("dual_f3"), "--m", "1", "--n", "-1"],
+        ["degree0", corpus("dual_f3"), "--n", "-2"],
+        ["hh", corpus("dual_f3"), "--max-degree", "-1"],
+    ],
+    ids=["kappa-m", "kappa-n", "degree0-n", "hh-max-degree"],
+)
+def test_negative_degrees_rejected_with_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert out.err.startswith("usage:") and "expected an integer >= 0" in out.err
+
+
+def test_degree_zero_accepted(capsys):
+    code, out, _ = run(capsys, "hh", corpus("dual_f3"), "--max-degree", "0")
+    assert code == 0
+    assert [r["degree"] for r in json.loads(out)["table"]] == [0]
+    code, _, _ = run(capsys, "kappa", corpus("dual_f3"), "--m", "0", "--n", "0")
+    assert code == 0
+
+
 # -- determinism -------------------------------------------------------------------
 
 

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kuelsh.catalog import truncated_polynomial
 from kuelsh.errors import (
@@ -356,6 +358,119 @@ def test_matrix_matmul_ext_field():
                 for t in range(k):
                     acc = F.add(acc, F.mul(int(A.data[i, t]), int(B.data[t, j])))
                 assert C.data[i, j] == acc
+
+
+# -- extension fields against a pure-int reference ----------------------------
+
+F343 = FiniteField(7, 3, [5, 0, 0, 1])  # x^3 + 5: 2 is not a cube mod 7
+F512 = FiniteField(2, 9, [1, 0, 0, 0, 1, 0, 0, 0, 0, 1])  # x^9 + x^4 + 1
+REF_FIELDS = (F4, F8, F9, F343, F512)
+
+
+class RefField:
+    """F_{p^r} in Python ints, independent of the field's tables: an element
+    is its digit list, the coefficients of a polynomial of degree < r; a
+    product is the convolution of two lists, reduced from the top term down
+    by x^r = x^r - modulus."""
+
+    def __init__(self, F):
+        self.p, self.r, self.q = F.p, F.r, F.q
+        self.powers = [F.p**i for i in range(F.r)]
+        self.digits = [[a // w % F.p for w in self.powers] for a in range(F.q)]
+        self.rule = [(t, -c) for t, c in enumerate(F.modulus[:-1]) if c]
+
+    def index(self, digits):
+        return sum(c % self.p * w for c, w in zip(digits, self.powers))
+
+    def add(self, a, b):
+        return self.index([x + y for x, y in zip(self.digits[a], self.digits[b])])
+
+    def neg(self, a):
+        return self.index([-x for x in self.digits[a]])
+
+    def mul(self, a, b):
+        r = self.r
+        conv = [0] * (2 * r - 1)
+        for i, x in enumerate(self.digits[a]):
+            if x:
+                for j, y in enumerate(self.digits[b]):
+                    conv[i + j] += x * y
+        for k in range(2 * r - 2, r - 1, -1):
+            for t, c in self.rule:
+                conv[k - r + t] += c * conv[k]
+        return self.index(conv[:r])
+
+    def pow(self, a, e):
+        out = 1
+        for bit in bin(e)[2:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, a)
+        return out
+
+
+@functools.cache
+def ref_field(F):
+    return RefField(F)
+
+
+@functools.cache
+def ref_tables(F):
+    """The reference's add, neg, mul, inv and Frobenius tables of F."""
+    R, q = ref_field(F), F.q
+    add = np.array([[R.add(a, b) for b in range(q)] for a in range(q)])
+    mul = np.zeros((q, q), dtype=np.int64)
+    for a in range(q):
+        for b in range(a, q):  # the convolution is symmetric in a and b
+            mul[a, b] = mul[b, a] = R.mul(a, b)
+    neg = np.array([R.neg(a) for a in range(q)])
+    inv = np.array([R.pow(a, q - 2) for a in range(q)])  # a^(q-2); 0 for a = 0
+    frob = np.array([[R.pow(a, F.p**s) for a in range(q)] for s in range(F.r)])
+    return add, neg, mul, inv, frob
+
+
+@pytest.mark.parametrize("F", REF_FIELDS, ids=repr)
+def test_tables_match_pure_int_reference(F):
+    add, neg, mul, inv, frob = ref_tables(F)
+    want = {"_ADD": add, "_SUB": add[:, neg], "_NEG": neg, "_MUL": mul, "_INV": inv, "_FROB": frob}
+    for name, table in want.items():
+        assert np.array_equal(getattr(F, name), table), name
+
+
+@pytest.mark.parametrize("F", REF_FIELDS, ids=repr)
+def test_scalar_methods_match_pure_int_reference(F):
+    add, neg, mul, inv, frob = ref_tables(F)
+    q, r = F.q, F.r
+    for a in range(q):
+        assert F.neg(a) == neg[a]
+        if a:
+            assert F.inv(a) == inv[a]
+        assert F.pow(a, F.p) == frob[1, a]
+        for s in range(-r, r + 1):
+            assert F.frobenius(a, s) == frob[s % r, a]
+        assert F.encode_scalar(a) == ref_field(F).digits[a]
+        assert F.decode_scalar(F.encode_scalar(a)) == a
+        for b in range(q):
+            assert (F.add(a, b), F.sub(a, b), F.mul(a, b)) == (add[a, b], add[a, neg[b]], mul[a, b])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_mat_mul_matches_pure_int_reference(data):
+    # test_matrix_matmul_ext_field checks mat_mul against F.mul, and both
+    # come from the digit-plane fold; this checks both against the reference
+    F = data.draw(st.sampled_from(REF_FIELDS), label="field")
+    m, k, n = data.draw(st.tuples(*[st.integers(0, 5)] * 3), label="shape")
+    entries = st.lists(st.integers(0, F.q - 1), min_size=k * (m + n), max_size=k * (m + n))
+    flat = np.array(data.draw(entries, label="entries"), dtype=np.int64)
+    a, b = flat[: m * k].reshape(m, k), flat[m * k :].reshape(k, n)
+    R = ref_field(F)
+    want = [[0] * n for _ in range(m)]
+    for i, j, t in itertools.product(range(m), range(n), range(k)):
+        want[i][j] = R.add(want[i][j], R.mul(int(a[i, t]), int(b[t, j])))
+    assert F.mat_mul(a, b).tolist() == want
+    if m and n:
+        assert F.vdot(a[0], b[:, 0]) == want[0][0]
 
 
 # -- elimination kernels against a pure-python reference -------------------
