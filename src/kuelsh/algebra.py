@@ -22,7 +22,6 @@ from .fieldlin import (
     Matrix,
     Subspace,
     _as_rows,
-    _as_vector,
     _in_range,
     _is_int,
     row_reduce,
@@ -90,17 +89,17 @@ class Algebra:
 
     def multiply_basis_left(self, i, v):
         """e_i . v"""
-        v = _as_vector(self.field, v, self.dim)
+        v = _as_rows(self.field, v, self.dim, ndim=1)
         return self.field.mat_mul(v, self.const[i])
 
     def multiply_basis_right(self, v, j):
         """v . e_j"""
-        v = _as_vector(self.field, v, self.dim)
+        v = _as_rows(self.field, v, self.dim, ndim=1)
         return self.field.mat_mul(v, self.const[:, j])
 
     def left_mult_matrix(self, a):
         """Matrix of x -> a x."""
-        a = _as_vector(self.field, a, self.dim)
+        a = _as_rows(self.field, a, self.dim, ndim=1)
         d = self.dim
         return self.field.mat_mul(a, self.const.reshape(d, d * d)).reshape(d, d).T
 
@@ -182,14 +181,14 @@ class BilinearForm:
     @classmethod
     def from_linear_form(cls, A, lam):
         """The form <a, b> = lam(a b)."""
-        lam = _as_vector(A.field, lam, A.dim)
+        lam = _as_rows(A.field, lam, A.dim, ndim=1)
         d = A.dim
         g = A.field.mat_mul(A.const.reshape(d * d, d), lam).reshape(d, d)
         return cls(A.field, Matrix(A.field, g, copy=False))
 
     def pairing(self, x, y):
-        x = _as_vector(self.field, x, self.gram.rows)
-        y = _as_vector(self.field, y, self.gram.rows)
+        x = _as_rows(self.field, x, self.gram.rows, ndim=1)
+        y = _as_rows(self.field, y, self.gram.rows, ndim=1)
         return self.field.vdot(self.field.mat_mul(x, self.gram.data), y)
 
     def is_symmetric(self):

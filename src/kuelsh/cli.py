@@ -3,7 +3,7 @@
 Input is the algebra JSON schema produced by `algebra_to_json`; output is a
 deterministic JSON document on stdout (identical inputs give byte-identical
 reports).  Exit codes: 0 success, 1 mathematical failure (invalid algebra,
-degenerate form, exceeded budget), 2 I/O or parse errors.
+degenerate form, exceeded budget) or allocation failure, 2 I/O or parse errors.
 """
 
 from __future__ import annotations
@@ -258,6 +258,10 @@ def main(argv=None):
         return 2
     except KuelshError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's allocation failures subclass it
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

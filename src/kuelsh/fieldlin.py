@@ -327,20 +327,12 @@ def _in_range(field, arr):
     return arr
 
 
-def _as_rows(field, v, length):
-    """v as a vector or a (k, length) block of row vectors, entries in range."""
+def _as_rows(field, v, length, ndim=None):
+    """v as a vector or a (k, length) block of row vectors, entries in range;
+    ndim=1 accepts only a vector and ndim=2 only a block."""
     arr = np.asarray(v, dtype=np.int64)
-    if arr.ndim not in (1, 2) or arr.shape[-1] != length:
+    if arr.ndim not in ((1, 2) if ndim is None else (ndim,)) or arr.shape[-1] != length:
         raise DimensionMismatch(f"expected rows of length {length}, got shape {arr.shape}")
-    return _in_range(field, arr)
-
-
-def _as_vector(field, v, length=None):
-    arr = np.asarray(v, dtype=np.int64)
-    if arr.ndim != 1:
-        raise DimensionMismatch(f"expected a vector, got shape {arr.shape}")
-    if length is not None and arr.shape[0] != length:
-        raise DimensionMismatch(f"expected length {length}, got {arr.shape[0]}")
     return _in_range(field, arr)
 
 
@@ -410,7 +402,7 @@ class Matrix:
             )
 
     def mul_vec(self, v):
-        v = _as_vector(self.field, v, self.cols)
+        v = _as_rows(self.field, v, self.cols, ndim=1)
         return self.field.mat_mul(self.data, v)
 
     def transpose(self):
@@ -754,7 +746,7 @@ class SemilinearMap:
         return self.matrix.field
 
     def apply(self, v):
-        v = _as_vector(self.field, v, self.matrix.cols)
+        v = _as_rows(self.field, v, self.matrix.cols, ndim=1)
         return self.matrix.mul_vec(self.field.vfrob(v, self.twist))
 
     def compose(self, other):

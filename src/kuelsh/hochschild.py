@@ -7,18 +7,18 @@ ordered lexicographically; the chain space has dimension d(d-1)^m.  Cochains
 of degree m are coefficient tensors of shape (d-1)^m x d encoding multilinear
 maps on the reduced algebra with values in A.
 
-The boundary and coboundary matrices are written term by term: each term of
-the differential is a product of two neighbouring slots, which `np.einsum`
-exposes as a writeable diagonal view of the zero matrix (the unchanged slots
-are repeated labels), and only the nonzero structure constants are added
-onto it.  The chain map of a unital morphism theta is the Kronecker product
-theta (x) theta_bar^(x)m, theta_bar the block of theta on the reduced parts.
+The boundary and coboundary matrices are built only for elimination, term
+by term: each term of the differential is a product of two neighbouring
+slots, which `np.einsum` exposes as a writeable diagonal view of the zero
+matrix (the unchanged slots are repeated labels), and only the nonzero
+structure constants are added onto it.
 
-Cochain operations (coboundary, cup product, pairing vector, Gram matrix) are
-slot contractions: the coefficient tensor is reshaped so that the slot being
-multiplied is one matrix axis, contracted with the structure constants in one
-`FiniteField.mat_mul`, and reshaped back.  Each operation is a fixed number of
-such products, exact over prime and extension fields alike.
+Everything applied to given chains or cochains (boundary, chain maps,
+coboundary, cup product, pairing vector, Gram matrix) is slot contractions:
+the block is reshaped so that the slot being multiplied is one matrix axis,
+contracted with the structure constants in one `FiniteField.mat_mul`, and
+reshaped back.  Each operation is a fixed number of such products, exact over
+prime and extension fields alike.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import (
     NotACycle,
     NotUnital,
 )
-from .fieldlin import Matrix, Subspace, _as_vector, row_reduce
+from .fieldlin import Matrix, Subspace, _as_rows, row_reduce
 
 CACHE_ENV = "KUELSH_CACHE_DIR"
 CACHE_FORMAT = 2  # part of every disk cache key; bump when the file layout changes
@@ -60,6 +60,14 @@ def _add_term(F, out, shape, spec, values, sign):
     view = np.einsum(spec, out.reshape(shape))
     at = (Ellipsis, *np.nonzero(values))
     view[at] = (F.vadd if sign > 0 else F.vsub)(view[at], values[at[1:]])
+
+
+def _slot_mul(F, M, x, before, after):
+    """M applied to the middle axis of x viewed as (before, M.shape[1], after),
+    as one mat_mul; the result has shape (before, M.shape[0], after)."""
+    rows, cols = M.shape
+    x = x.reshape(before, cols, after).transpose(1, 0, 2).reshape(cols, before * after)
+    return F.mat_mul(M, x).reshape(rows, before, after).transpose(1, 0, 2)
 
 
 def _disk_cache_path(A, kind, m):
@@ -128,6 +136,28 @@ def boundary_matrix(A, m):
     if path:
         _disk_cache_store(path, out)
     return M
+
+
+def boundary_apply(A, m, X):
+    """The bar boundary of each row of a (k, chain_dim(A, m)) block, m >= 1:
+    X @ boundary_matrix(A, m).T as m + 1 slot contractions."""
+    if m < 1:
+        raise ValueError("boundary needs m >= 1")
+    F, d, c = A.field, A.dim, A.const
+    X = _as_rows(F, X, chain_dim(A, m), ndim=2)
+    n, k, rest = d - 1, len(X), (d - 1) ** (m - 1)
+    shape = (k, chain_dim(A, m - 1))
+    # (a_0 a_1) (x) a_2 .. a_m, the whole product
+    acc = _slot_mul(F, c[:, 1:].reshape(d * n, d).T, X, k, rest).reshape(shape)
+    # (-1)^i .. (x) a_i a_{i+1} (x) .., inner slots drop the unit component
+    inner = c[1:, 1:, 1:].reshape(n * n, n).T
+    for i in range(1, m):
+        term = _slot_mul(F, inner, X, k * d * n ** (i - 1), n ** (m - i - 1)).reshape(shape)
+        acc = F.vsub(acc, term) if i % 2 else F.vadd(acc, term)
+    # cyclic term: (-1)^m (a_m a_0) (x) a_1 .. a_{m-1}
+    x = X.reshape(k, d, rest, n).transpose(0, 3, 1, 2)
+    term = _slot_mul(F, c[1:].reshape(n * d, d).T, x, k, rest).reshape(shape)
+    return F.vsub(acc, term) if m % 2 else F.vadd(acc, term)
 
 
 def coboundary_matrix(A, m):
@@ -199,11 +229,9 @@ def cup_product(f, g):
         raise AlgebraMismatch("cup product needs cochains over one algebra")
     A = f.algebra
     F, d, c = A.field, A.dim, A.const
-    rf, rg = f.coeffs.shape[0], g.coeffs.shape[0]
-    # t[I, b, k]: f(I) . e_b, reordered to rows b and columns (I, k)
-    t = F.mat_mul(f.coeffs, c.reshape(d, d * d)).reshape(rf, d, d)
-    t = t.transpose(1, 0, 2).reshape(d, rf * d)
-    out = F.mat_mul(g.coeffs, t).reshape(rg, rf, d).transpose(1, 0, 2)
+    # t[I, b, k]: f(I) . e_b, then out[I, J, k] = sum_b g(J)_b t[I, b, k]
+    t = F.mat_mul(f.coeffs, c.reshape(d, d * d))
+    out = _slot_mul(F, g.coeffs, t, f.coeffs.shape[0], d)
     return Cochain(A, f.degree + g.degree, out)
 
 
@@ -238,10 +266,7 @@ def coboundary_apply(f):
     # reduced part of a_{i-1} a_i, as rows (x, y) and columns t
     prod = c[1:, 1:, 1:].reshape(n * n, n)
     for i in range(1, m + 1):
-        before, after = n ** (i - 1), n ** (m - i) * d
-        slot = fc.reshape(before, n, after).transpose(1, 0, 2).reshape(n, before * after)
-        term = F.mat_mul(prod, slot).reshape(n * n, before, after)
-        term = term.transpose(1, 0, 2).reshape(n * rows, d)
+        term = _slot_mul(F, prod, fc, n ** (i - 1), n ** (m - i) * d).reshape(n * rows, d)
         acc = F.vsub(acc, term) if i % 2 else F.vadd(acc, term)
     # f(J') . a_m: [J', b, k] is already in row order
     right = F.mat_mul(fc, c[:, 1:].reshape(d, n * d)).reshape(n * rows, d)
@@ -318,17 +343,26 @@ def cohomology(A, m):
 # -- functoriality ---------------------------------------------------------------
 
 
-def induced_chain_map(theta, m):
-    """Chain map of the normalized bar complexes for a unital morphism."""
+def chain_map_apply(theta, m, X):
+    """The degree-m chain map of a unital morphism theta on each row of a
+    (k, chain_dim(source, m)) block: theta on slot 0, and theta_bar, the
+    block of theta on the reduced parts, on slots 1..m."""
     A, B, M = theta.source, theta.target, theta.matrix
     if not np.array_equal(M @ A.unit(), B.unit()):
         raise NotUnital("induced chain maps need a unital morphism")
-    # theta on a_0, the reduced part of theta on every other slot
-    F, out, bar = B.field, M.data.copy(), M.data[1:, 1:]
-    for _ in range(m):
-        shape = (out.shape[0] * bar.shape[0], out.shape[1] * bar.shape[1])
-        out = F.vmul(out[:, None, :, None], bar[None, :, None, :]).reshape(shape)
-    return Matrix(F, out, copy=False)
+    F, nA, nB = B.field, A.dim - 1, B.dim - 1
+    X = _as_rows(F, X, chain_dim(A, m), ndim=2)
+    k = len(X)
+    Y = _slot_mul(F, M.data, X, k, nA**m)
+    for i in range(1, m + 1):
+        Y = _slot_mul(F, M.data[1:, 1:], Y, k * B.dim * nB ** (i - 1), nA ** (m - i))
+    return Y.reshape(k, chain_dim(B, m))
+
+
+def induced_chain_map(theta, m):
+    """Chain map of the normalized bar complexes for a unital morphism."""
+    eye = np.eye(chain_dim(theta.source, m), dtype=np.int64)
+    return Matrix(theta.target.field, chain_map_apply(theta, m, eye).T)
 
 
 def hh_of_map(theta, m, source_basis=None, target_basis=None):
@@ -336,42 +370,41 @@ def hh_of_map(theta, m, source_basis=None, target_basis=None):
     A, B = theta.source, theta.target
     src = source_basis if source_basis is not None else homology(A, m)
     tgt = target_basis if target_basis is not None else homology(B, m)
-    F = B.field
-    images = F.mat_mul(src.block, induced_chain_map(theta, m).data.T)  # one row per rep
-    if m >= 1 and F.mat_mul(images, boundary_matrix(B, m).data.T).any():
+    images = chain_map_apply(theta, m, src.block)  # one row per rep
+    if m >= 1 and boundary_apply(B, m, images).any():
         raise NotACycle("induced image of a cycle is not a cycle")
-    return Matrix(F, tgt.express(images).T, copy=False)
+    return Matrix(B.field, tgt.express(images).T, copy=False)
 
 
 # -- duality pairing ---------------------------------------------------------------
 
 
-def _pairing_rows(A, lam, m, cochains):
+def _pairing_rows(form, m, cochains):
     """The pairing vector of each row of a (k, cochain_dim(A, m)) block of
-    degree-m cochain coefficients: one Gram matrix and one product.
+    degree-m cochain coefficients, for the form <a, b> = lam(a b) on A.
 
     w[(i, J)] = lam(f(J) e_i) = sum_k f(J)_k G[k, i] with G[k, i] = lam(e_k e_i).
     """
-    d, rows = A.dim, (A.dim - 1) ** m
+    gram, d = form.gram.data, form.gram.rows
     cochains = np.asarray(cochains, dtype=np.int64)
-    k = len(cochains)
-    gram = BilinearForm.from_linear_form(A, lam).gram.data
-    prod = A.field.mat_mul(cochains.reshape(k * rows, d), gram)
+    k, rows = len(cochains), (d - 1) ** m
+    prod = form.field.mat_mul(cochains.reshape(k * rows, d), gram)
     return prod.reshape(k, rows, d).transpose(0, 2, 1).reshape(k, d * rows)
 
 
 def pairing_vector(lam, f):
     """w with <f, c> = w . c for every chain c of f's degree."""
-    return _pairing_rows(f.algebra, lam, f.degree, f.coeffs[None])[0]
+    form = BilinearForm.from_linear_form(f.algebra, lam)
+    return _pairing_rows(form, f.degree, f.coeffs[None])[0]
 
 
 def pairing(lam, f, c):
     """Chain-level duality pairing <f, a_0 (x) args> = lam(f(args) . a_0)."""
     A = f.algebra
-    c = _as_vector(A.field, c, chain_dim(A, f.degree))
+    c = _as_rows(A.field, c, chain_dim(A, f.degree), ndim=1)
     if not coboundary_apply(f).is_zero():
         raise NotACocycle("pairing needs a cocycle")
-    if f.degree >= 1 and (boundary_matrix(A, f.degree) @ c).any():
+    if f.degree >= 1 and boundary_apply(A, f.degree, c[None]).any():
         raise NotACycle("pairing needs a cycle")
     return A.field.vdot(pairing_vector(lam, f), c)
 
@@ -379,5 +412,5 @@ def pairing(lam, f, c):
 def gram_matrix(A, lam, m):
     """Pairing of cohomology and homology representatives; invertible iff the
     degree-m duality is nondegenerate on the chosen bases."""
-    W = _pairing_rows(A, lam, m, cohomology(A, m).block)
+    W = _pairing_rows(BilinearForm.from_linear_form(A, lam), m, cohomology(A, m).block)
     return Matrix(A.field, A.field.mat_mul(W, homology(A, m).block.T), copy=False)

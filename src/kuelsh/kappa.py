@@ -17,23 +17,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .algebra import trivial_extension
-from .errors import DegenerateForm, DimensionMismatch, NotACocycle, NotACycle
-from .fieldlin import Matrix, SemilinearMap, row_reduce
+from .algebra import BilinearForm, trivial_extension
+from .errors import DegenerateForm, NotACocycle, NotACycle
+from .fieldlin import Matrix, SemilinearMap, _as_rows, row_reduce
 from .hochschild import (
     Cochain,
     _pairing_rows,
-    boundary_matrix,
+    boundary_apply,
     chain_dim,
+    chain_map_apply,
     coboundary_apply,
     cohomology,
     cup_power,
-    gram_matrix,
     hh_of_map,
     homology,
-    induced_chain_map,
 )
 
 
@@ -81,23 +78,19 @@ def _kappa_on_cycles(A, lam, m, n, cycles):
             f"degree-{m} homology and cohomology dimensions differ; "
             "the duality pairing cannot be nondegenerate"
         )
-    G = gram_matrix(A, lam, m)
-    gred = row_reduce(G)
-    if gred.rank != G.rows:
+    form = BilinearForm.from_linear_form(A, lam)  # one Gram matrix for both pairings
+    G = F.mat_mul(_pairing_rows(form, m, coh.block), homology(A, m).block.T)  # gram_matrix
+    gred = row_reduce(Matrix(F, G, copy=False))
+    if gred.rank != len(G):
         raise DegenerateForm(f"degree-{m} duality Gram matrix is singular")
     e = F.p**n
-    dom_dim = chain_dim(A, e * m)
     powers = [cup_power(Cochain.from_flat(A, m, zf), e) for zf in coh.representatives]
     if not all(coboundary_apply(cz).is_zero() for cz in powers):
         raise NotACocycle("cup power of a cocycle failed to be a cocycle")
-    W = _pairing_rows(A, lam, e * m, [cz.flat() for cz in powers])
-    X = np.asarray(cycles, dtype=np.int64)
-    if X.ndim != 2 or X.shape[1] != dom_dim:
-        raise DimensionMismatch(f"cycles of shape {X.shape} in chain space of dim {dom_dim}")
-    # built only for a cycle to check: in kappa_hat it is TA's, which nothing else builds
-    if e * m >= 1 and len(X):
-        if F.mat_mul(X, boundary_matrix(A, e * m).data.T).any():
-            raise NotACycle("kappa applied to a chain that is not a cycle")
+    W = _pairing_rows(form, e * m, [cz.flat() for cz in powers])
+    X = _as_rows(F, cycles, chain_dim(A, e * m), ndim=2)
+    if e * m >= 1 and boundary_apply(A, e * m, X).any():
+        raise NotACycle("kappa applied to a chain that is not a cycle")
     B = F.vfrob(F.mat_mul(X, W.T), -n)  # row j: phi^{-n}(b) for cycle j
     return Matrix(F, gred.solve(B).T, copy=False)
 
@@ -122,8 +115,7 @@ def kappa_hat(A, m, n):
     TA = te.algebra
     e = F.p**n
     dom = homology(A, e * m)
-    push = induced_chain_map(te.iota, e * m)
-    inner = _kappa_on_cycles(TA, te.lam, m, n, F.mat_mul(dom.block, push.data.T))
+    inner = _kappa_on_cycles(TA, te.lam, m, n, chain_map_apply(te.iota, e * m, dom.block))
     down = hh_of_map(te.pi, m)
     return KappaMap(e * m, m, SemilinearMap(down @ inner, twist=-n))
 

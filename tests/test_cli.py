@@ -309,6 +309,22 @@ def test_kappa_computes_each_route_once(monkeypatch, capsys):
     assert calls == {"kappa_m_n": 1, "kappa_hat": 1}
 
 
+@pytest.mark.parametrize(
+    "exc",
+    [MemoryError(), MemoryError("Unable to allocate 13.1 GiB for an array with shape (18750, 93750)")],
+)
+def test_allocation_failure_is_one_error_line(monkeypatch, capsys, exc):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(kuelsh.cli, "kappa_hat", fail)
+    code, out, err = run(capsys, "kappa", corpus("ut3_f3"), "--m", "2", "--n", "1", "--hat")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert str(exc) in err
+
+
 def test_kappa_requires_symmetry_without_hat(capsys):
     code, _, err = run(capsys, "kappa", corpus("ut2_f2"), "--m", "1", "--n", "1")
     assert code == 1

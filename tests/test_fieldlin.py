@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kuelsh.algebra import BilinearForm
 from kuelsh.catalog import truncated_polynomial
 from kuelsh.errors import (
     DimensionMismatch,
@@ -26,7 +27,7 @@ from kuelsh.fieldlin import (
     preimage,
     row_reduce,
 )
-from kuelsh.hochschild import homology
+from kuelsh.hochschild import Cochain, homology, pairing
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -670,6 +671,29 @@ def test_reduce_rejects_bad_shapes():
     ]
     for api in apis:
         for bad in ([1, 2], [[1, 2]], np.zeros((1, 1, 3), dtype=np.int64)):
+            with pytest.raises(DimensionMismatch):
+                api(bad)
+
+
+def test_single_vector_apis_reject_blocks():
+    # every entry point that takes exactly one vector of length 3
+    A = truncated_polynomial(F3, 3)
+    form = BilinearForm.from_linear_form(A, [0, 0, 1])
+    lam = [0, 0, 1]
+    apis = [
+        Matrix.identity(F3, 3).mul_vec,
+        SemilinearMap(Matrix.identity(F3, 3)).apply,
+        lambda v: pairing(lam, Cochain.unit(A), v),
+        lambda v: BilinearForm.from_linear_form(A, v),
+        lambda v: form.pairing(v, A.unit()),
+        lambda v: form.pairing(A.unit(), v),
+        lambda v: A.multiply_basis_left(1, v),
+        lambda v: A.multiply_basis_right(v, 1),
+        A.left_mult_matrix,
+    ]
+    for api in apis:
+        api(np.array([1, 2, 0]))
+        for bad in ([[1, 2, 0]], np.zeros((2, 3), dtype=np.int64), [1, 2], 1):
             with pytest.raises(DimensionMismatch):
                 api(bad)
 

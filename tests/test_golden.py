@@ -38,6 +38,9 @@ CORPUS = (
     "ut3_f3",
 )
 
+# corpus files whose `kappa --m 2 --n 1 --hat` report is pinned
+KAPPA_M2 = ("dual_f5", "trunc3_f3")
+
 # (algebra name, max degree m): representatives of HH_0 .. HH_m
 HOMOLOGY = (("T(dual_f2)", 4), ("T(dual_f3)", 4), ("ut3_f2", 3))
 
@@ -67,6 +70,10 @@ GOLDEN = {
     "kappa ut3_f2 --m 1 --n 1 --hat": "b1364e51110713206dc016067b75c99c7f52bfbb45e0caa4a774422e597d6516",
     "degree0 ut3_f3 --n 2": "cea5ea08718731901826bc70205060a0e8296c4df1d767ee53bd554663d06395",
     "kappa ut3_f3 --m 1 --n 1 --hat": "4dda20a84977cce072ba5dbfaae78bb0bd879fbf8c040e779df201d9301d4c33",
+    # recorded when the bar boundary and chain maps became slot contractions;
+    # the earlier code ran out of memory on these two
+    "kappa dual_f5 --m 2 --n 1 --hat": "a0284a623ab8ba6bae29b5c70c6c436c40cbc50e6530310acffc2acf806eb7cc",
+    "kappa trunc3_f3 --m 2 --n 1 --hat": "633b8b1f03879230031ed84bb2a1b3df88492d24d8b7705233ccd0d57e414f3b",
     "homology T(dual_f2) 0": "b24a918c46bf78fbd8922df31b8b1a160dbd2b3b167a5dc6cacd47ae5ece06ef",
     "homology T(dual_f2) 1": "4648fb18662ce248d41f3d7fceefc3ef3e6a0abeffab9bdee2fc8ecb4d16d5d9",
     "homology T(dual_f2) 2": "0856987869ec019be9985ae772bcf5741352eda9778e2a4e45ec6dcae72ce88f",
@@ -121,6 +128,11 @@ def digests():
         out[f"degree0 {name} --n 2"] = _cli_digest("degree0", path, "--n", "2")
         out[f"kappa {name} --m 1 --n 1 --hat"] = _cli_digest(
             "kappa", path, "--m", "1", "--n", "1", "--hat"
+        )
+    for name in KAPPA_M2:
+        path = os.path.join(CORPUS_DIR, f"{name}.json")
+        out[f"kappa {name} --m 2 --n 1 --hat"] = _cli_digest(
+            "kappa", path, "--m", "2", "--n", "1", "--hat"
         )
     for name, top in HOMOLOGY:
         A = _algebra(name)

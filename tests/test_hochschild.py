@@ -22,12 +22,14 @@ from kuelsh.catalog import (
     upper_triangular,
 )
 from kuelsh.degree0 import center, commutator_space, hh0_data
-from kuelsh.errors import NotACocycle, NotACycle, NotUnital
+from kuelsh.errors import DimensionMismatch, NotACocycle, NotACycle, NotUnital
 from kuelsh.fieldlin import FiniteField, Matrix, Subspace, row_reduce
 from kuelsh.hochschild import (
     Cochain,
+    boundary_apply,
     boundary_matrix,
     chain_dim,
+    chain_map_apply,
     coboundary_apply,
     coboundary_matrix,
     cochain_dim,
@@ -678,6 +680,65 @@ def test_chain_maps_match_scalar_reference():
                 assert np.array_equal(got.data, ref_induced_chain_map(theta, m)), (A.field, m)
         chain0 = induced_chain_map(te.iota, 0)
         assert not np.shares_memory(chain0.data, te.iota.matrix.data)
+
+
+APPLY_FIELDS = (F2, F3, F5, F4, F9, FiniteField(2**31 - 1))
+
+
+def _apply_algebras(F):
+    yield dual_numbers(F)
+    yield truncated_polynomial(F, 3)
+    yield upper_triangular(F, 2)
+    yield trivial_extension(dual_numbers(F)).algebra
+
+
+def _random_block(F, k, n, rng):
+    return rng.integers(0, F.q, (k, n), dtype=np.int64)
+
+
+@pytest.mark.parametrize("F", APPLY_FIELDS, ids=repr)
+def test_boundary_apply_matches_matrix(F):
+    rng = np.random.default_rng(F.q % 1000)
+    for A in _apply_algebras(F):
+        for m in range(1, 5):
+            for k in (0, 3):
+                X = _random_block(F, k, chain_dim(A, m), rng)
+                got = boundary_apply(A, m, X)
+                want = F.mat_mul(X, boundary_matrix(A, m).data.T)
+                assert got.shape == (k, chain_dim(A, m - 1))
+                assert np.array_equal(got, want), (F, A.dim, m, k)
+
+
+@pytest.mark.parametrize("F", APPLY_FIELDS, ids=repr)
+def test_chain_map_apply_matches_scalar_reference(F):
+    rng = np.random.default_rng(F.q % 1000 + 1)
+    algebras = list(_apply_algebras(F))
+    te = trivial_extension(algebras[0])  # its algebra is the fourth, T(k[eps])
+    thetas = [te.iota, te.pi, *(trivial_extension(A).iota for A in algebras[1:3])]
+    for theta in thetas + [identity_morphism(A) for A in algebras]:
+        A = theta.source
+        for m in range(5):
+            ref = ref_induced_chain_map(theta, m)
+            for k in (0, 3):
+                X = _random_block(F, k, chain_dim(A, m), rng)
+                got = chain_map_apply(theta, m, X)
+                assert got.shape == (k, chain_dim(theta.target, m))
+                assert np.array_equal(got, F.mat_mul(X, ref.T)), (F, A.dim, m, k)
+
+
+def test_apply_operators_reject_bad_blocks():
+    A = dual_numbers(F3)
+    theta = identity_morphism(A)
+    for bad in (np.zeros(chain_dim(A, 2), dtype=np.int64), np.zeros((1, 3), dtype=np.int64)):
+        with pytest.raises(DimensionMismatch):
+            boundary_apply(A, 2, bad)
+        with pytest.raises(DimensionMismatch):
+            chain_map_apply(theta, 2, bad)
+    with pytest.raises(ValueError):
+        boundary_apply(A, 0, np.zeros((1, 2), dtype=np.int64))
+    nonunital = AlgebraMorphism(A, A, Matrix.zeros(F3, 2, 2))
+    with pytest.raises(NotUnital):
+        chain_map_apply(nonunital, 1, np.zeros((1, 2), dtype=np.int64))
 
 
 # -- pairing ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from kuelsh.hochschild import (
     pairing_vector,
 )
 from kuelsh.kappa import _kappa_on_cycles, kappa_compare_symmetric, kappa_hat, kappa_m_n
+from kuelsh.oracle import periodic_hh_dual_numbers
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -123,6 +124,36 @@ def test_kappa_hat_dual_numbers_vanishes():
             k = kappa_hat(A, m, n)
             assert (k.domain_degree, k.codomain_degree) == (F.p**n * m, m)
             assert k.rank == 0
+
+
+def test_kappa_hat_dual_f5_m2_is_zero():
+    # the vanishing of the README at p = 5, which once ran out of memory
+    F5 = FiniteField(5)
+    k = kappa_hat(dual_numbers(F5), 2, 1)
+    shape = (periodic_hh_dual_numbers(F5, 2).dimension, periodic_hh_dual_numbers(F5, 10).dimension)
+    assert k.matrix.data.shape == shape == (1, 1)
+    assert not k.matrix.data.any()
+
+
+def test_kappa_hat_builds_no_extension_boundary():
+    A = dual_numbers(F3)
+    kappa_hat(A, 2, 1)
+    assert ("boundary", 6) not in trivial_extension(A).algebra._cache
+
+
+def test_kappa_on_cycles_builds_one_gram_matrix(monkeypatch):
+    A = CORPUS["dual_f3"]
+    lam = lam_of(A)
+    build = BilinearForm.from_linear_form.__func__
+    calls = []
+
+    def counted(cls, *args):
+        calls.append(args)
+        return build(cls, *args)
+
+    monkeypatch.setattr(BilinearForm, "from_linear_form", classmethod(counted))
+    _kappa_on_cycles(A, lam, 2, 1, homology(A, 6).block)
+    assert len(calls) == 1
 
 
 def test_kappa_compare_reports_consistently():
