@@ -160,11 +160,13 @@ def cmd_degree0(args):
 def cmd_hh(args):
     A = _load_algebra(args.path)
     _require_valid(A)
-    top_cols = chain_dim(A, args.max_degree)
+    # HH_m builds the boundary b_{m+1}, whose columns span degree m + 1
+    top = args.max_degree + 1
+    top_cols = chain_dim(A, top)
     if top_cols > args.budget and not args.force:
         raise BudgetExceeded(
-            f"chain space has {top_cols} columns, over the budget {args.budget}; "
-            "pass --force to compute anyway"
+            f"degree-{top} chain space has {top_cols} columns, over the budget "
+            f"{args.budget}; pass --force to compute anyway"
         )
     lam, status = _resolve_form(A, args.form)
     rows = []

@@ -258,17 +258,6 @@ class FiniteField:
             return (x * y) % self.p
         return self._MUL[x, y]
 
-    def vscale(self, c, x):
-        if self.r == 1:
-            return (c * x) % self.p
-        return self._MUL[c][x]
-
-    def vsub_outer(self, x, c, v):
-        """x - c (x) v for a (k, n) block x, a length-k c and a length-n v."""
-        if self.r == 1:
-            return (x - c[:, None] * v) % self.p
-        return self._SUB[x, self._MUL[c[:, None], v]]
-
     def vfrob(self, x, s=1):
         s %= self.r
         if self.r == 1 or s == 0:
@@ -474,11 +463,12 @@ def _rref_generic(field, data):
         piv = R[row, col:]
         pv = int(piv[0])
         if pv != 1:
-            piv[:] = field.vscale(field.inv(pv), piv)
+            piv[:] = field.vmul(field.inv(pv), piv)
         others = np.flatnonzero(R[:, col])
         others = others[others != row]
         if others.size:
-            R[others, col:] = field.vsub_outer(R[others, col:], R[others, col], piv)
+            c = R[others, col]
+            R[others, col:] = field.vsub(R[others, col:], field.vmul(c[:, None], piv))
         pivots.append(col)
         row += 1
     return R, pivots

@@ -11,7 +11,9 @@ The boundary and coboundary matrices are built only for elimination, term
 by term: each term of the differential is a product of two neighbouring
 slots, which `np.einsum` exposes as a writeable diagonal view of the zero
 matrix (the unchanged slots are repeated labels), and only the nonzero
-structure constants are added onto it.
+structure constants are added onto it.  They are the largest arrays the
+program allocates, so each is built when `homology` or `cohomology` needs it
+and not kept: it is dropped once its elimination is done.
 
 Everything applied to given chains or cochains (boundary, chain maps,
 coboundary, cup product, pairing vector, Gram matrix) is slot contractions:
@@ -23,8 +25,6 @@ prime and extension fields alike.
 
 from __future__ import annotations
 
-import hashlib
-import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -38,9 +38,6 @@ from .errors import (
     NotUnital,
 )
 from .fieldlin import Matrix, Subspace, _as_rows, row_reduce
-
-CACHE_ENV = "KUELSH_CACHE_DIR"
-CACHE_FORMAT = 2  # part of every disk cache key; bump when the file layout changes
 
 
 def chain_dim(A, m):
@@ -71,56 +68,19 @@ def _slot_mul(F, M, x, before, after):
 
 
 def _disk_cache_path(A, kind, m):
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    os.makedirs(root, exist_ok=True)
-    key = f"format{CACHE_FORMAT}:{A.content_hash()}:{kind}:{m}"
-    return os.path.join(root, f"{hashlib.sha256(key.encode()).hexdigest()}.npy")
-
-
-def _disk_cache_load(path, shape):
-    """The int64 matrix of this shape cached at path, or None for a miss: no
-    file, a file np.load cannot read, or a wrong shape or dtype."""
-    try:
-        data = np.load(path)
-    except (OSError, ValueError, EOFError):
-        return None
-    if data.shape != shape or data.dtype != np.int64:
-        return None
-    return data
-
-
-def _disk_cache_store(path, data):
-    """Write to a private temporary file, then rename it over path, so a
-    reader never sees a partly written file."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            np.save(f, data)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    # There is no disk cache.  bench/tracer.py's build probe calls this by
+    # name; the stub goes when spans inside the library replace that tracer
+    # (ROADMAP item 4).
+    return None
 
 
 def boundary_matrix(A, m):
     """The bar boundary from degree m to degree m-1 (m >= 1); b o b = 0."""
     if m < 1:
         raise ValueError("boundary needs m >= 1")
-    key = ("boundary", m)
-    if key in A._cache:
-        return A._cache[key]
-    shape = (chain_dim(A, m - 1), chain_dim(A, m))
-    path = _disk_cache_path(A, "boundary", m)
-    cached = _disk_cache_load(path, shape) if path else None
-    if cached is not None:
-        M = Matrix(A.field, cached, copy=False)
-        A._cache[key] = M
-        return M
     F, d, c = A.field, A.dim, A.const
     n, rest = d - 1, (d - 1) ** (m - 1)
-    out = np.zeros(shape, dtype=np.int64)
+    out = np.zeros((chain_dim(A, m - 1), chain_dim(A, m)), dtype=np.int64)
     # (a_0 a_1) (x) a_2 .. a_m, the whole product
     _add_term(F, out, (d, rest, d, n, rest), "trxyr->rtxy", c[:, 1:].transpose(2, 0, 1), 1)
     # (-1)^i .. (x) a_i a_{i+1} (x) .., inner slots drop the unit component
@@ -131,11 +91,7 @@ def boundary_matrix(A, m):
         _add_term(F, out, shape, "btpbxyp->bptxy", inner, (-1) ** i)
     # cyclic term: (-1)^m (a_m a_0) (x) a_1 .. a_{m-1}
     _add_term(F, out, (d, rest, d, rest, n), "tjxjy->jtxy", c[1:].transpose(2, 1, 0), (-1) ** m)
-    M = Matrix(F, out, copy=False)
-    A._cache[key] = M
-    if path:
-        _disk_cache_store(path, out)
-    return M
+    return Matrix(F, out, copy=False)
 
 
 def boundary_apply(A, m, X):
@@ -164,9 +120,6 @@ def coboundary_matrix(A, m):
     """The Hochschild coboundary from degree-m to degree-(m+1) cochains."""
     if m < 0:
         raise ValueError("coboundary needs m >= 0")
-    key = ("coboundary", m)
-    if key in A._cache:
-        return A._cache[key]
     F, d, c = A.field, A.dim, A.const
     n, rows = d - 1, (d - 1) ** m
     out = np.zeros((cochain_dim(A, m + 1), cochain_dim(A, m)), dtype=np.int64)
@@ -180,9 +133,7 @@ def coboundary_matrix(A, m):
     # (-1)^(m+1) f(a_0, .., a_{m-1}) . a_m
     shape = (rows, n, d, rows, d)
     _add_term(F, out, shape, "jbtjk->jbtk", c[:, 1:].transpose(1, 2, 0), (-1) ** (m + 1))
-    M = Matrix(F, out, copy=False)
-    A._cache[key] = M
-    return M
+    return Matrix(F, out, copy=False)
 
 
 # -- cochains and cup products ------------------------------------------------
@@ -313,7 +264,8 @@ class HomologyBasis:
 def _homology_basis(F, m, n, outgoing, incoming):
     """Degree-m homology on an n-dimensional space: cycles are the kernel of
     outgoing(), boundaries the row space of incoming() transposed, built in
-    that order (None is a zero map), representatives the quotient basis."""
+    that order (None is a zero map), representatives the quotient basis.
+    Each matrix is dropped once reduced, so the two never coexist."""
     cycles = Subspace.full(F, n) if outgoing is None else row_reduce(outgoing()).kernel
     boundaries = Subspace(F, n) if incoming is None else Subspace(F, n, incoming().data.T)
     reps = cycles.quotient_basis(boundaries)

@@ -219,7 +219,7 @@ def test_acceptance_7_property_suites():
             sign = 1 if mf % 2 == 0 else A.field.neg(1)
             rhs = A.field.vadd(
                 cup_product(coboundary_apply(f), g).flat(),
-                A.field.vscale(sign, cup_product(f, coboundary_apply(g)).flat()),
+                A.field.vmul(sign, cup_product(f, coboundary_apply(g)).flat()),
             )
             ok = ok and np.array_equal(lhs, rhs)
     results["leibniz"] = ok
@@ -259,8 +259,8 @@ def test_acceptance_7_property_suites():
     for _ in range(100):
         v = np.array([rng.randrange(4) for _ in range(2)])
         c = rng.randrange(4)
-        lhs = mu.apply(F4.vscale(c, v))
-        rhs = F4.vscale(F4.frobenius(c, 1), mu.apply(v))
+        lhs = mu.apply(F4.vmul(c, v))
+        rhs = F4.vmul(F4.frobenius(c, 1), mu.apply(v))
         ok = ok and np.array_equal(lhs, rhs)
     results["semilinearity-f4"] = ok
 

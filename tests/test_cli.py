@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import kuelsh.cli
@@ -212,41 +211,14 @@ def test_hh_ut2_csv(capsys):
     assert [l.split(",")[1] for l in lines[1:]] == ["2", "0", "0", "0"]
 
 
-def _truncate_data(path):
-    path.write_bytes(path.read_bytes()[:-8])
-
-
-def _truncate_header(path):
-    path.write_bytes(path.read_bytes()[:20])
-
-
-def _wrong_shape(path):
-    np.save(path, np.zeros((2, 3), dtype=np.int64))
-
-
-def _wrong_dtype(path):
-    np.save(path, np.load(path).astype(np.float64))
-
-
-@pytest.mark.parametrize(
-    "damage", [_truncate_data, _truncate_header, _wrong_shape, _wrong_dtype]
-)
-def test_hh_recomputes_damaged_cache_files(tmp_path, monkeypatch, capsys, damage):
+def test_hh_ignores_cache_dir(tmp_path, monkeypatch, capsys):
+    # a leftover KUELSH_CACHE_DIR changes no output and writes no file
     args = ("hh", corpus("dual_f3"), "--max-degree", "3")
-    monkeypatch.delenv("KUELSH_CACHE_DIR", raising=False)
     code, plain, _ = run(capsys, *args)
     assert code == 0
     monkeypatch.setenv("KUELSH_CACHE_DIR", str(tmp_path))
     assert run(capsys, *args)[:2] == (0, plain)
-    files = sorted(tmp_path.iterdir())
-    assert len(files) == 4  # b_1 .. b_4
-    for path in files:
-        damage(path)
-    assert run(capsys, *args)[:2] == (0, plain)
-    # each damaged file was replaced by a readable one, and no temporary is left
-    assert sorted(tmp_path.iterdir()) == files
-    for path in files:
-        assert np.load(path).dtype == np.int64
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_hh_budget(capsys):
@@ -263,6 +235,15 @@ def test_hh_budget_force(capsys):
     )
     assert code == 0
     assert [r["hh_dim"] for r in json.loads(out)["table"]] == [2, 2, 2]
+
+
+@pytest.mark.parametrize("budget, code", [("12", 1), ("24", 0)])
+def test_hh_budget_counts_the_widest_boundary(capsys, budget, code):
+    # HH_2 of UT2 (dim 3) builds b_3 on chain_dim(3) = 24 columns, not 12
+    args = ("hh", corpus("ut2_f2"), "--max-degree", "2", "--budget", budget)
+    got, _, err = run(capsys, *args)
+    assert got == code
+    assert ("budget" in err) == bool(code)
 
 
 # -- kappa ------------------------------------------------------------------------
@@ -399,7 +380,6 @@ def test_corpus_writer_reproduces_bundled_files(tmp_path):
 def test_traced_run_matches_untraced(tmp_path, argv):
     # bench/tracer.py wraps library functions by name; a renamed one breaks it
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    env.pop("KUELSH_CACHE_DIR", None)
     spans = tmp_path / "spans.json"
     tracer = [sys.executable, os.path.join(ROOT, "bench", "tracer.py"), str(spans), "job", "--"]
     traced = subprocess.run(tracer + argv, env=env, capture_output=True, timeout=300)

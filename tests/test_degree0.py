@@ -140,8 +140,8 @@ def test_ppower_twist_over_f4():
     for _ in range(50):
         v = np.array([rng.randrange(4), rng.randrange(4)])
         c = rng.randrange(4)
-        lhs = mu.apply(F4.vscale(c, v))
-        rhs = F4.vscale(F4.frobenius(c, 1), mu.apply(v))
+        lhs = mu.apply(F4.vmul(c, v))
+        rhs = F4.vmul(F4.frobenius(c, 1), mu.apply(v))
         assert np.array_equal(lhs, rhs)
 
 

@@ -323,8 +323,8 @@ def test_semilinear_law_random():
             u = np.array([rng.randrange(F.q) for _ in range(n)])
             v = np.array([rng.randrange(F.q) for _ in range(n)])
             c = rng.randrange(F.q)
-            lhs = f.apply(F.vadd(u, F.vscale(c, v)))
-            rhs = F.vadd(f.apply(u), F.vscale(F.frobenius(c, s), f.apply(v)))
+            lhs = f.apply(F.vadd(u, F.vmul(c, v)))
+            rhs = F.vadd(f.apply(u), F.vmul(F.frobenius(c, s), f.apply(v)))
             assert np.array_equal(lhs, rhs)
 
 
