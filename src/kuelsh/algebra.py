@@ -24,6 +24,7 @@ from .fieldlin import (
     _as_rows,
     _in_range,
     _is_int,
+    _power,
     row_reduce,
 )
 
@@ -74,18 +75,7 @@ class Algebra:
 
     def power(self, a, e):
         """a^e by repeated squaring, for a vector or each row of a block; e >= 1."""
-        if e < 1:
-            raise ValueError("element powers need e >= 1")
-        a = _as_rows(self.field, a, self.dim)
-        out = None
-        base = a
-        while e:
-            if e & 1:
-                out = base if out is None else self.multiply(out, base)
-            e >>= 1
-            if e:
-                base = self.multiply(base, base)
-        return out
+        return _power(self.multiply, _as_rows(self.field, a, self.dim), e)
 
     def multiply_basis_left(self, i, v):
         """e_i . v"""

@@ -115,6 +115,15 @@ def _enc_semilinear(F, sm):
     return {"matrix": _enc_matrix(F, sm.matrix), "twist": sm.twist}
 
 
+def _enc_kappa(F, km):
+    return {
+        "domain_degree": km.domain_degree,
+        "codomain_degree": km.codomain_degree,
+        "rank": km.rank,
+        **_enc_semilinear(F, km.map),
+    }
+
+
 def _emit(doc):
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=1))
     sys.stdout.write("\n")
@@ -201,11 +210,11 @@ def cmd_kappa(args):
         )
     if lam is not None:
         both = kappa_compare_symmetric(A, lam, args.m, args.n)
-        doc["kappa"] = both.kappa.to_json(F)
-        doc["kappa_hat"] = both.kappa_hat.to_json(F)
+        doc["kappa"] = _enc_kappa(F, both.kappa)
+        doc["kappa_hat"] = _enc_kappa(F, both.kappa_hat)
         doc["routes_equal"] = both.equal
     else:
-        doc["kappa_hat"] = kappa_hat(A, args.m, args.n).to_json(F)
+        doc["kappa_hat"] = _enc_kappa(F, kappa_hat(A, args.m, args.n))
     _emit(doc)
     return 0
 

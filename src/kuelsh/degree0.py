@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import BilinearForm, commutator_space, trivial_extension
 from .errors import DegenerateForm, DimensionMismatch, WellDefinednessViolation
-from .fieldlin import Matrix, SemilinearMap, Subspace, preimage, row_reduce
+from .fieldlin import Matrix, SemilinearMap, Subspace, _power, preimage, row_reduce
 
 
 def center(A):
@@ -50,10 +50,7 @@ def ppower_on_HH0(A, n=1):
     M = F.mat_mul(qmap.data, A.power(reps.data, F.p).T)  # column j: class of rep_j^p
     mu = SemilinearMap(Matrix(F, M), twist=1)
     _verify_well_defined(A, ka, qmap)
-    out = mu
-    for _ in range(n - 1):
-        out = mu.compose(out)
-    return out
+    return _power(SemilinearMap.compose, mu, n)
 
 
 def _verify_well_defined(A, ka, qmap, trials=100):
@@ -194,7 +191,7 @@ def degree0_report(A, n_max, lam=None):
     z = center(A)
     t = [kulshammer_T(A, n) for n in range(1, n_max + 1)]
     ann = [annihilator_in_dual(A, tn) for tn in t]
-    bhz = [bhz_check(A, n, lam).holds for n in range(1, n_max + 1)]
+    bhz = [bhz_check(A, n).holds for n in range(1, n_max + 1)]
     rep = DegreeZeroReport(ka, z, t, ann, bhz=bhz)
     if lam is not None:
         form = BilinearForm.from_linear_form(A, lam)

@@ -74,25 +74,18 @@ def _poly_divmod(num, den, p):
     return num[:deg_d]
 
 
-def _monic_polys(p, deg):
-    for idx in range(p**deg):
-        coeffs = []
-        t = idx
-        for _ in range(deg):
-            coeffs.append(t % p)
-            t //= p
-        yield coeffs + [1]
-
-
-def _is_irreducible(modulus, p):
-    r = len(modulus) - 1
-    if r < 1 or modulus[-1] != 1:
-        return False
-    for deg in range(1, r // 2 + 1):
-        for g in _monic_polys(p, deg):
-            if not any(_poly_divmod(modulus, g, p)):
-                return False
-    return True
+def _power(mul, x, e):
+    """x^e by repeated squaring for the associative product mul; e >= 1."""
+    if e < 1:
+        raise ValueError("powers need e >= 1")
+    out = None
+    while True:
+        if e & 1:
+            out = x if out is None else mul(out, x)
+        e >>= 1
+        if not e:
+            return out
+        x = mul(x, x)
 
 
 class FiniteField:
@@ -116,8 +109,6 @@ class FiniteField:
                 raise ReducibleModulus(
                     f"modulus must be monic of degree {r} (got {modulus})"
                 )
-            if not _is_irreducible(modulus, p):
-                raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
             if p**r > _MAX_EXT_ORDER:
                 raise ValueError(f"extension field order {p**r} out of scope")
         self.p = p
@@ -126,6 +117,10 @@ class FiniteField:
         self.modulus = tuple(modulus) if modulus is not None else None
         if r > 1:
             self._build_tables()
+            # F_p[x]/(modulus) is a field iff no nonzero element is a zero
+            # divisor, that is iff every nonzero row of _MUL holds a 1
+            if not (self._MUL[1:] == 1).any(axis=1).all():
+                raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
 
     # -- scalar arithmetic ------------------------------------------------
 
@@ -156,11 +151,9 @@ class FiniteField:
         conv = np.einsum("ai,bj,ijk->abk", dig, dig, fold, optimize=True)
         self._MUL = (conv % p) @ self._ENC
         self._INV = np.argmax(self._MUL == 1, axis=1)  # row 0 has no 1: _INV[0] = 0
-        # a^p by p - 1 table lookups (p <= 19 here), then a^{p^s} = (a^{p^{s-1}})^p
+        # a^p through the table, then a^{p^s} = (a^{p^{s-1}})^p
         a = np.arange(q)
-        a_p = a
-        for _ in range(p - 1):
-            a_p = self._MUL[a_p, a]
+        a_p = _power(self.vmul, a, p)
         frob = [a]
         for _ in range(r - 1):
             frob.append(a_p[frob[-1]])
@@ -188,13 +181,7 @@ class FiniteField:
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return _power(self.mul, a, e) if e else 1
 
     def frobenius(self, a, s=1):
         """a^{p^s}; negative s means the inverse Frobenius (s is taken mod r)."""
@@ -689,23 +676,16 @@ class Subspace:
     def quotient_map(self, other):
         """Matrix sending x to the coordinates of x+other in the pivot-rule basis.
 
-        Only valid when self is the full ambient space.
+        Only valid when self is the full ambient space.  The representatives
+        are in RREF and reduced modulo other, so the class of x is
+        other.reduce(x), and its coordinates are that read at their pivots.
         """
         if self.dim != self.ambient_dim:
             raise NotASubspace("quotient_map is defined on the full ambient space")
         reps = self.quotient_basis(other)
-        n = self.ambient_dim
-        eye = np.eye(n, dtype=np.int64)
-        if other.dim:
-            picked = eye[:, list(other.pivots)]
-            reduced = self.field.vsub(
-                eye, self.field.mat_mul(picked, other.basis.data)
-            )
-        else:
-            reduced = eye
-        rep_space = Subspace(self.field, n, reps)
-        coords = reduced[:, list(rep_space.pivots)].T  # (h, n)
-        return Matrix(self.field, coords, copy=False), reps
+        lead = [np.flatnonzero(r)[0] for r in reps.data]
+        reduced = other.reduce(np.eye(self.ambient_dim, dtype=np.int64))
+        return Matrix(self.field, reduced[:, lead].T, copy=False), reps
 
 
 def preimage(matrix, target):

@@ -37,7 +37,7 @@ from .errors import (
     NotACycle,
     NotUnital,
 )
-from .fieldlin import Matrix, Subspace, _as_rows, row_reduce
+from .fieldlin import Matrix, Subspace, _as_rows, _power, row_reduce
 
 
 def chain_dim(A, m):
@@ -67,6 +67,14 @@ def _slot_mul(F, M, x, before, after):
     return F.mat_mul(M, x).reshape(rows, before, after).transpose(1, 0, 2)
 
 
+def _zeros(rows, cols):
+    """An int64 zero matrix.  A shape whose byte count numpy cannot even
+    represent is out of memory too, where np.zeros would raise ValueError."""
+    if rows * cols * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"cannot allocate a {rows} x {cols} int64 matrix")
+    return np.zeros((rows, cols), dtype=np.int64)
+
+
 def _disk_cache_path(A, kind, m):
     # There is no disk cache.  bench/tracer.py's build probe calls this by
     # name; the stub goes when spans inside the library replace that tracer
@@ -80,7 +88,7 @@ def boundary_matrix(A, m):
         raise ValueError("boundary needs m >= 1")
     F, d, c = A.field, A.dim, A.const
     n, rest = d - 1, (d - 1) ** (m - 1)
-    out = np.zeros((chain_dim(A, m - 1), chain_dim(A, m)), dtype=np.int64)
+    out = _zeros(chain_dim(A, m - 1), chain_dim(A, m))
     # (a_0 a_1) (x) a_2 .. a_m, the whole product
     _add_term(F, out, (d, rest, d, n, rest), "trxyr->rtxy", c[:, 1:].transpose(2, 0, 1), 1)
     # (-1)^i .. (x) a_i a_{i+1} (x) .., inner slots drop the unit component
@@ -122,7 +130,7 @@ def coboundary_matrix(A, m):
         raise ValueError("coboundary needs m >= 0")
     F, d, c = A.field, A.dim, A.const
     n, rows = d - 1, (d - 1) ** m
-    out = np.zeros((cochain_dim(A, m + 1), cochain_dim(A, m)), dtype=np.int64)
+    out = _zeros(cochain_dim(A, m + 1), cochain_dim(A, m))
     # a_0 . f(a_1, .., a_m)
     _add_term(F, out, (n, rows, d, rows, d), "ajtjk->jatk", c[1:].transpose(0, 2, 1), 1)
     # (-1)^i f(.., a_{i-1} a_i, ..), reduced part of the product
@@ -187,18 +195,8 @@ def cup_product(f, g):
 
 
 def cup_power(f, e):
-    """e-th cup power by iterated squaring; e >= 1."""
-    if e < 1:
-        raise ValueError("cup powers need e >= 1")
-    out = None
-    base = f
-    while e:
-        if e & 1:
-            out = base if out is None else cup_product(out, base)
-        e >>= 1
-        if e:
-            base = cup_product(base, base)
-    return out
+    """e-th cup power by repeated squaring; e >= 1."""
+    return _power(cup_product, f, e)
 
 
 def coboundary_apply(f):
@@ -231,19 +229,13 @@ def coboundary_apply(f):
 @dataclass
 class HomologyBasis:
     degree: int
-    representatives: tuple  # vectors in the chain (or cochain) space
+    representatives: np.ndarray  # read-only (dimension, n) RREF block of rows
     cycles: Subspace
     boundaries: Subspace
 
     @property
     def dimension(self):
         return len(self.representatives)
-
-    @property
-    def block(self):
-        """The representatives as one (dimension, n) block of rows."""
-        n = self.cycles.ambient_dim
-        return np.array(self.representatives, dtype=np.int64).reshape(self.dimension, n)
 
     def express(self, v):
         """Coordinates of a cycle's class in this basis, or of each row's class
@@ -253,7 +245,7 @@ class HomologyBasis:
         the class of v is w = boundaries.reduce(v), and its coordinates are w
         read at the representatives' pivots.
         """
-        F, reps = self.cycles.field, self.block
+        F, reps = self.cycles.field, self.representatives
         w = self.boundaries.reduce(v)
         coords = w[..., [np.flatnonzero(r)[0] for r in reps]]
         if F.vsub(w, F.mat_mul(coords, reps)).any():
@@ -269,7 +261,7 @@ def _homology_basis(F, m, n, outgoing, incoming):
     cycles = Subspace.full(F, n) if outgoing is None else row_reduce(outgoing()).kernel
     boundaries = Subspace(F, n) if incoming is None else Subspace(F, n, incoming().data.T)
     reps = cycles.quotient_basis(boundaries)
-    return HomologyBasis(m, tuple(row for row in reps.data), cycles, boundaries)
+    return HomologyBasis(m, reps.data, cycles, boundaries)
 
 
 def homology(A, m):
@@ -322,7 +314,7 @@ def hh_of_map(theta, m, source_basis=None, target_basis=None):
     A, B = theta.source, theta.target
     src = source_basis if source_basis is not None else homology(A, m)
     tgt = target_basis if target_basis is not None else homology(B, m)
-    images = chain_map_apply(theta, m, src.block)  # one row per rep
+    images = chain_map_apply(theta, m, src.representatives)  # one row per rep
     if m >= 1 and boundary_apply(B, m, images).any():
         raise NotACycle("induced image of a cycle is not a cycle")
     return Matrix(B.field, tgt.express(images).T, copy=False)
@@ -364,5 +356,5 @@ def pairing(lam, f, c):
 def gram_matrix(A, lam, m):
     """Pairing of cohomology and homology representatives; invertible iff the
     degree-m duality is nondegenerate on the chosen bases."""
-    W = _pairing_rows(BilinearForm.from_linear_form(A, lam), m, cohomology(A, m).block)
-    return Matrix(A.field, A.field.mat_mul(W, homology(A, m).block.T), copy=False)
+    W = _pairing_rows(BilinearForm.from_linear_form(A, lam), m, cohomology(A, m).representatives)
+    return Matrix(A.field, A.field.mat_mul(W, homology(A, m).representatives.T), copy=False)

@@ -52,17 +52,6 @@ class KappaMap:
     def rank(self):
         return self.map.rank
 
-    def to_json(self, field):
-        return {
-            "domain_degree": self.domain_degree,
-            "codomain_degree": self.codomain_degree,
-            "matrix": [
-                [field.encode_scalar(int(x)) for x in row] for row in self.matrix.data
-            ],
-            "twist": self.twist,
-            "rank": self.rank,
-        }
-
 
 def _kappa_on_cycles(A, lam, m, n, cycles):
     """Coordinates in the HH_m(A) basis of kappa applied to explicit cycles,
@@ -72,14 +61,14 @@ def _kappa_on_cycles(A, lam, m, n, cycles):
     cohomology representatives z_i and the degree-m Gram matrix G.
     """
     F = A.field
-    coh = cohomology(A, m)
-    if coh.dimension != homology(A, m).dimension:
+    coh, hom = cohomology(A, m), homology(A, m)
+    if coh.dimension != hom.dimension:
         raise DegenerateForm(
             f"degree-{m} homology and cohomology dimensions differ; "
             "the duality pairing cannot be nondegenerate"
         )
     form = BilinearForm.from_linear_form(A, lam)  # one Gram matrix for both pairings
-    G = F.mat_mul(_pairing_rows(form, m, coh.block), homology(A, m).block.T)  # gram_matrix
+    G = F.mat_mul(_pairing_rows(form, m, coh.representatives), hom.representatives.T)  # gram_matrix
     gred = row_reduce(Matrix(F, G, copy=False))
     if gred.rank != len(G):
         raise DegenerateForm(f"degree-{m} duality Gram matrix is singular")
@@ -98,7 +87,7 @@ def _kappa_on_cycles(A, lam, m, n, cycles):
 def kappa_m_n(A, lam, m, n):
     """kappa_n^(m): HH_{p^n m}(A) -> HH_m(A) for a symmetric algebra."""
     dom = homology(A, A.field.p**n * m)
-    M = _kappa_on_cycles(A, lam, m, n, dom.block)
+    M = _kappa_on_cycles(A, lam, m, n, dom.representatives)
     return KappaMap(A.field.p**n * m, m, SemilinearMap(M, twist=-n))
 
 
@@ -115,7 +104,8 @@ def kappa_hat(A, m, n):
     TA = te.algebra
     e = F.p**n
     dom = homology(A, e * m)
-    inner = _kappa_on_cycles(TA, te.lam, m, n, chain_map_apply(te.iota, e * m, dom.block))
+    pushed = chain_map_apply(te.iota, e * m, dom.representatives)
+    inner = _kappa_on_cycles(TA, te.lam, m, n, pushed)
     down = hh_of_map(te.pi, m)
     return KappaMap(e * m, m, SemilinearMap(down @ inner, twist=-n))
 

@@ -29,7 +29,7 @@ ENUMERATION_BOUND = 3**6
 class PeriodicHH:
     degree: int
     dimension: int
-    representatives: tuple  # vectors in the dual-numbers coordinates
+    representatives: np.ndarray  # read-only RREF block in the dual-numbers coordinates
 
 
 def periodic_hh_dual_numbers(F, m):
@@ -53,7 +53,7 @@ def periodic_hh_dual_numbers(F, m):
         cycles = row_reduce(two_eps).kernel
         image = Subspace(F, 2)  # d_{m+1} = 0
     reps = cycles.quotient_basis(image)
-    return PeriodicHH(m, reps.rows, tuple(row for row in reps.data))
+    return PeriodicHH(m, reps.rows, reps.data)
 
 
 @dataclass

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kuelsh.cli
 import kuelsh.kappa
@@ -82,6 +87,21 @@ def test_validate_characteristic_out_of_scope(tmp_path, capsys):
     assert out == "" and "out of scope" in err
 
 
+def test_validate_large_reducible_extension_exits_at_once(tmp_path):
+    # order p^2 > 512 is out of scope before any factor of the modulus is sought
+    doc = {"field": {"p": 2147483647, "r": 2, "modulus": [7, 0, 1]}, "dim": 1, "basis": ["1"]}
+    doc["structure_constants"] = [[[[1, 0]]]]
+    bad = tmp_path / "big_ext.json"
+    bad.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kuelsh.cli", "validate", str(bad)],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "out of scope" in proc.stderr
+
+
 def _document(name):
     if name == "dual_f4":
         return algebra_to_json(dual_numbers(FiniteField(2, 2, [1, 1, 1])))
@@ -115,6 +135,85 @@ def test_validate_malformed_types_exit_2(tmp_path, capsys, name, path, value):
     code, out, err = run(capsys, "validate", str(bad))
     assert code == 2
     assert out == "" and "malformed" in err
+
+
+# small JSON values of every type
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2) | st.text(max_size=2),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=2), kids),
+    max_leaves=5,
+)
+PRIMES_NEAR_2_31 = (2147483647, 2147483629, 2147483587)
+NOT_PRIME_BELOW_2_31 = st.integers(-3, 1) | st.builds(
+    lambda a, b: a * b, st.integers(2, 46340), st.integers(2, 46340)
+)
+
+
+def _not_null(v):
+    return v is not None
+
+
+def _all_str(values):
+    return all(isinstance(x, str) for x in values)
+
+
+def _zero_cube(shape):
+    a, b, c = shape
+    return [[[0] * c for _ in range(b)] for _ in range(a)]
+
+
+@st.composite
+def _malformed_documents(draw):
+    """The dual numbers over F_3 with one part made malformed."""
+    doc = _document("dual_f3")
+    part = draw(st.sampled_from(["document", "missing", "field", "dim", "basis", "cube", "entry"]))
+    if part == "document":
+        return draw(JSON_VALUES.filter(lambda v: not isinstance(v, dict)))
+    if part == "missing":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif part == "field":
+        doc["field"] = draw(
+            JSON_VALUES.filter(lambda v: not isinstance(v, dict))
+            | st.fixed_dictionaries({"p": JSON_VALUES.filter(lambda v: type(v) is not int)})
+            | st.fixed_dictionaries({"p": NOT_PRIME_BELOW_2_31 | st.integers(2**31, 2**40)})
+            | st.fixed_dictionaries({"p": st.just(3), "r": JSON_VALUES.filter(lambda v: v != 1)})
+            | st.fixed_dictionaries({"p": st.just(3), "modulus": JSON_VALUES.filter(_not_null)})
+            | st.fixed_dictionaries(
+                {
+                    "p": st.sampled_from(PRIMES_NEAR_2_31),
+                    "r": st.integers(2, 4),
+                    "modulus": st.none() | st.lists(st.integers(-2**40, 2**40), max_size=6),
+                }
+            )
+        )
+    elif part == "dim":
+        doc["dim"] = draw(JSON_VALUES.filter(lambda v: not (type(v) is int and v == 2)))
+    elif part == "basis":
+        doc["basis"] = draw(
+            JSON_VALUES.filter(lambda v: not (isinstance(v, list) and len(v) == 2 and _all_str(v)))
+        )
+    elif part == "cube":
+        shape = draw(st.tuples(*[st.integers(0, 3)] * 3).filter(lambda s: s != (2, 2, 2)))
+        doc["structure_constants"] = _zero_cube(shape)
+    else:
+        i, j, k = draw(st.tuples(*[st.integers(0, 1)] * 3))
+        doc["structure_constants"][i][j][k] = draw(JSON_VALUES.filter(lambda v: type(v) is not int))
+    return doc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_malformed_documents())
+def test_validate_malformed_document_property(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bad.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", path])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
 
 # -- degree0 --------------------------------------------------------------------
@@ -304,6 +403,22 @@ def test_allocation_failure_is_one_error_line(monkeypatch, capsys, exc):
     assert out == ""
     assert err.startswith("error: out of memory") and err.count("\n") == 1
     assert str(exc) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kappa", corpus("trunc3_f3"), "--m", "64", "--n", "0"],
+        ["kappa", corpus("trunc3_f3"), "--m", "70", "--n", "0", "--hat"],
+    ],
+    ids=["m64", "m70-hat"],
+)
+def test_unallocatable_shape_is_out_of_memory(capsys, argv):
+    # the differential matrix has more bytes than numpy can even address
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: out of memory: cannot allocate") and err.count("\n") == 1
 
 
 def test_kappa_requires_symmetry_without_hat(capsys):

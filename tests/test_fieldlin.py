@@ -27,7 +27,8 @@ from kuelsh.fieldlin import (
     preimage,
     row_reduce,
 )
-from kuelsh.hochschild import Cochain, homology, pairing
+from kuelsh.degree0 import ppower_on_HH0
+from kuelsh.hochschild import Cochain, cup_power, homology, pairing
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -70,6 +71,45 @@ def test_reducible_modulus_rejected():
         FiniteField(3, 2, [2, 0, 1])  # x^2 + 2 = x^2 - 1 has root 1
 
 
+def ref_is_irreducible(f, p):
+    """Brute-force factor search: the monic f (constant term first) has no
+    monic factor over F_p of degree 1 .. deg(f) // 2."""
+    r = len(f) - 1
+    for deg in range(1, r // 2 + 1):
+        for low in itertools.product(range(p), repeat=deg):
+            g, rem = list(low) + [1], list(f)
+            for k in range(r, deg - 1, -1):  # subtract rem[k] x^(k - deg) g
+                c = rem[k]
+                for t, gt in enumerate(g):
+                    rem[k - deg + t] = (rem[k - deg + t] - c * gt) % p
+            if not any(rem[:deg]):
+                return False
+    return True
+
+
+# (p, r, number of monic irreducibles of degree r over F_p, by Gauss's formula)
+IRREDUCIBLE_COUNTS = [
+    (2, 2, 1), (2, 3, 2), (2, 4, 3), (2, 5, 6), (2, 6, 9),
+    (3, 2, 3), (3, 3, 8), (3, 4, 18),
+    (5, 2, 10), (5, 3, 40),
+    (7, 2, 21),
+]
+
+
+@pytest.mark.parametrize("p, r, count", IRREDUCIBLE_COUNTS)
+def test_modulus_accepted_iff_irreducible(p, r, count):
+    accepted = 0
+    for low in itertools.product(range(p), repeat=r):
+        f = list(low) + [1]
+        if ref_is_irreducible(f, p):
+            assert FiniteField(p, r, f).modulus == tuple(f)
+            accepted += 1
+        else:
+            with pytest.raises(ReducibleModulus):
+                FiniteField(p, r, f)
+    assert accepted == count
+
+
 def test_field_arithmetic_axioms():
     for F in (F2, F3, F4, F9):
         for a in F.elements():
@@ -87,6 +127,28 @@ def test_field_arithmetic_axioms():
 def test_f4_generator_square():
     omega = 2  # digits (0, 1)
     assert F4.mul(omega, omega) == 3  # omega^2 = omega + 1
+
+
+@pytest.mark.parametrize("F", [F5, F4, F9], ids=repr)
+def test_power_edge_cases(F):
+    for a in F.elements():
+        assert F.pow(a, 0) == 1
+        if a:
+            for e in range(1, 2 * F.q):
+                assert F.pow(a, -e) == F.pow(F.inv(a), e)
+    A = truncated_polynomial(F, 3)
+    with pytest.raises(ValueError):
+        A.power(A.basis_vector(1), 0)
+    f = Cochain(A, 1, np.ones((2, 3), dtype=np.int64))
+    with pytest.raises(ValueError):
+        cup_power(f, 0)
+    assert cup_power(f, 1) == f
+    # mu^n of the p-power map is mu composed with itself n times
+    mu = ppower_on_HH0(A, 1)
+    loop = mu
+    for n in range(2, 5):
+        loop = mu.compose(loop)
+        assert ppower_on_HH0(A, n) == loop
 
 
 # -- frobenius -------------------------------------------------------------

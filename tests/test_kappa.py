@@ -165,7 +165,7 @@ def test_kappa_on_cycles_builds_one_gram_matrix(monkeypatch):
         return build(cls, *args)
 
     monkeypatch.setattr(BilinearForm, "from_linear_form", classmethod(counted))
-    _kappa_on_cycles(A, lam, 2, 1, homology(A, 6).block)
+    _kappa_on_cycles(A, lam, 2, 1, homology(A, 6).representatives)
     assert len(calls) == 1
 
 
@@ -239,11 +239,12 @@ def test_kappa_on_cycles_checks_every_row():
     dom = homology(A, 3 * m)
     bnd = boundary_matrix(A, 3 * m)
     non_cycle = next(e for e in np.eye(chain_dim(A, 3 * m), dtype=np.int64) if (bnd @ e).any())
-    assert _kappa_on_cycles(A, lam, m, n, dom.block[:0]).data.shape == (homology(A, m).dimension, 0)
-    for block in ([non_cycle], np.vstack([dom.block, non_cycle])):
+    empty = _kappa_on_cycles(A, lam, m, n, dom.representatives[:0])
+    assert empty.data.shape == (homology(A, m).dimension, 0)
+    for block in ([non_cycle], np.vstack([dom.representatives, non_cycle])):
         with pytest.raises(NotACycle):
             _kappa_on_cycles(A, lam, m, n, block)
-    for bad in (dom.block[0], dom.block[:, 1:]):
+    for bad in (dom.representatives[0], dom.representatives[:, 1:]):
         with pytest.raises(DimensionMismatch):
             _kappa_on_cycles(A, lam, m, n, bad)
 
