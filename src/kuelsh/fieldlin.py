@@ -5,14 +5,19 @@ coefficients (constant term first) of the residue polynomial.  Everything is
 deterministic: row reduction pivots left to right and takes the first nonzero
 row, so identical inputs always produce identical bases and representatives.
 
-Matrices are dense int64 numpy arrays of scalar indices.  Over F_2 the
-elimination kernel packs each row into uint64 words and clears a pivot column
-with one vectorized XOR of the rows that hit it.  Over odd prime fields it
-updates only the columns right of the pivot and delays reduction mod p: each
-pivot reduces its column and its row, the trailing update has no `%`, and the
-trailing block is reduced only after (2^63 - p) // (p-1)^2 updates, the most
-that cannot wrap int64: every second update at p = 2^31 - 1, and for p <= 7
-after more than 10^17, so never.  Matrix products over an extension field
+Matrices are dense numpy arrays of scalar indices, int64 except elimination
+buffers.  Row reduction works in place on one buffer in the narrowest of
+int16, int32 and int64 in which min(rows, cols) (p-1)^2 + p fits (int16 over
+extension fields, whose entries are table indices below q <= 512).
+Internal elimination consumes its buffer and keeps only the basis rows, as
+int64; `row_reduce` and `Subspace` reduce a copy.  Over F_2 the elimination
+kernel packs each row into uint64 words and clears a pivot column with one
+vectorized XOR of the rows that hit it.  Over odd prime fields it updates
+only the columns right of the pivot and delays reduction mod p: each pivot
+reduces its column and its row, the trailing update has no `%`, and the
+trailing block is reduced only after (max - p) // (p-1)^2 updates, max the
+largest value of the buffer's type: in the type chosen above never, in int64
+at p = 2^31 - 1 every second update.  Matrix products over an extension field
 split both factors into base-p digit planes, multiply all plane pairs in one
 float64 product, and fold x^i x^j back into the power basis.  That fold is
 the one definition of the product: the operation tables of an extension
@@ -268,6 +273,7 @@ class FiniteField:
                 prod = a.astype(np.float64) @ b.astype(np.float64)
                 return prod.astype(np.int64) % self.p
             # int64 partial sums of `step` terms, reduced before they can wrap
+            a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
             step = (2**63 - self.p) // (self.p - 1) ** 2
             out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
             for k in range(0, n, step):
@@ -328,6 +334,16 @@ class Matrix:
         arr.setflags(write=False)
         self.field = field
         self.data = arr
+
+    @classmethod
+    def _of_buffer(cls, field, buf):
+        """The matrix on an owned buffer of scalar indices, kept in its own
+        integer type (the one `_elimination_dtype` picks) and not copied."""
+        buf.setflags(write=False)
+        self = cls.__new__(cls)
+        self.field = field
+        self.data = buf
+        return self
 
     @classmethod
     def zeros(cls, field, rows, cols):
@@ -395,16 +411,33 @@ class Matrix:
 
 
 # -- row reduction --------------------------------------------------------
+# The kernels reduce the buffer they are given in place and return the pivot
+# columns.  A buffer holds reduced scalar indices in a signed integer type;
+# `_elimination_dtype` picks the narrowest one in which that stays exact.
 
 
-def _rref_gf2(data):
-    m, n = data.shape
+def _elimination_dtype(field, rows, cols):
+    """The narrowest of int16, int32 and int64 in which eliminating a rows x
+    cols matrix never wraps: over F_p each of at most min(rows, cols) pivots
+    subtracts at most (p-1)^2 from an entry in 0..p-1, so `_rref_prime` needs
+    no reduction mid-way.  Extension-field entries are indices below 512."""
+    if field.r > 1:
+        return np.dtype(np.int16)
+    bound = min(rows, cols) * (field.p - 1) ** 2 + field.p
+    for t in (np.int16, np.int32):
+        if bound <= np.iinfo(t).max:
+            return np.dtype(t)
+    return np.dtype(np.int64)
+
+
+def _rref_gf2(R):
+    m, n = R.shape
     if m == 0 or n == 0:
-        return data.copy(), []
+        return []
     # bit j of row i is bit j % 64 of word j // 64, little-endian throughout
     nwords = (n + 63) // 64
     packed = np.zeros((m, 8 * nwords), dtype=np.uint8)
-    bits = np.packbits(data.astype(bool), axis=1, bitorder="little")
+    bits = np.packbits(R.astype(bool), axis=1, bitorder="little")
     packed[:, : bits.shape[1]] = bits
     W = packed.view("<u8")
     pivots = []
@@ -424,16 +457,13 @@ def _rref_gf2(data):
         row += 1
         if row == m:
             break
-    # only the first `row` rows are nonzero; the rest stay untouched zero pages
-    out = np.zeros((m, n), dtype=np.int64)
-    out[:row] = np.unpackbits(
-        W[:row].view(np.uint8), axis=1, count=n, bitorder="little"
-    )
-    return out, pivots
+    # only the first `row` rows are nonzero
+    R[:row] = np.unpackbits(W[:row].view(np.uint8), axis=1, count=n, bitorder="little")
+    R[row:] = 0
+    return pivots
 
 
-def _rref_generic(field, data):
-    R = data.copy()
+def _rref_generic(field, R):
     m, n = R.shape
     pivots = []
     row = 0
@@ -458,20 +488,23 @@ def _rref_generic(field, data):
             R[others, col:] = field.vsub(R[others, col:], field.vmul(c[:, None], piv))
         pivots.append(col)
         row += 1
-    return R, pivots
+    return pivots
 
 
-def _rref_prime(p, data):
+def _rref_prime(p, R):
     """RREF over an odd prime field F_p with delayed reduction mod p.
 
     Only the pivot column and the pivot row are reduced at each pivot; the
     trailing update subtracts c * piv with no `%`.  Entries start in 0..p-1
     and each update subtracts at most (p-1)^2, so `lazy` updates in a row
-    cannot wrap int64; the trailing block is reduced before the next one.
+    cannot wrap R's integer type; the trailing block is reduced before the
+    next one.  In the type `_elimination_dtype` picks, `lazy` is at least
+    the number of pivots, so that never happens.
     """
-    R = data.copy()
     m, n = R.shape
-    lazy = (2**63 - p) // (p - 1) ** 2
+    lazy = (int(np.iinfo(R.dtype).max) - p) // (p - 1) ** 2
+    if lazy < 1:
+        raise TypeError(f"{R.dtype} cannot hold one unreduced update mod {p}")
     pivots = []
     row = due = 0
     for col in range(n):
@@ -501,15 +534,42 @@ def _rref_prime(p, data):
         pivots.append(col)
         row += 1
     R %= p
-    return R, pivots
+    return pivots
 
 
-def _rref(field, data):
+def _rref(field, R):
+    """Reduce the buffer R to its RREF in place; returns the pivot columns."""
     if field.r > 1:
-        return _rref_generic(field, data)
+        return _rref_generic(field, R)
     if field.p == 2:
-        return _rref_gf2(data)
-    return _rref_prime(field.p, data)
+        return _rref_gf2(R)
+    return _rref_prime(field.p, R)
+
+
+def _narrow_copy(field, data):
+    """An owned row-major copy of data in the type `_elimination_dtype` picks."""
+    return data.astype(_elimination_dtype(field, *data.shape), order="C")
+
+
+def _kernel(field, R, pivots):
+    """The kernel of a matrix, read off its RREF R and pivot columns."""
+    n = R.shape[1]
+    pivset = set(pivots)
+    free = [j for j in range(n) if j not in pivset]
+    K = np.zeros((len(free), n), dtype=_elimination_dtype(field, len(free), n))
+    if free:
+        K[np.arange(len(free)), free] = 1
+        if pivots:
+            K[:, list(pivots)] = field.vneg(R[: len(pivots)][:, free].T)
+    return Subspace._of_buffer(field, n, K)
+
+
+def _kernel_in_place(matrix):
+    """The kernel of a matrix that its holder gives up: its buffer is reduced
+    in place, so the matrix must not be used again."""
+    R = matrix.data
+    R.setflags(write=True)
+    return _kernel(matrix.field, R, _rref(matrix.field, R))
 
 
 class RowReduction:
@@ -519,8 +579,9 @@ class RowReduction:
         if not isinstance(matrix, Matrix):
             raise TypeError("row_reduce expects a Matrix")
         self.matrix = matrix
-        R, piv = _rref(matrix.field, matrix.data)
-        self.rref = Matrix(matrix.field, R, copy=False)
+        R = _narrow_copy(matrix.field, matrix.data)
+        piv = _rref(matrix.field, R)
+        self.rref = Matrix._of_buffer(matrix.field, R)
         self.pivots = tuple(piv)
         self.rank = len(piv)
         self._kernel = None
@@ -529,17 +590,7 @@ class RowReduction:
     @property
     def kernel(self):
         if self._kernel is None:
-            F = self.matrix.field
-            n = self.matrix.cols
-            pivset = set(self.pivots)
-            free = [j for j in range(n) if j not in pivset]
-            K = np.zeros((len(free), n), dtype=np.int64)
-            if free:
-                K[np.arange(len(free)), free] = 1
-                if self.pivots:
-                    sub = self.rref.data[: self.rank][:, free]
-                    K[:, list(self.pivots)] = F.vneg(sub.T)
-            self._kernel = Subspace(F, n, K)
+            self._kernel = _kernel(self.matrix.field, self.rref.data, self.pivots)
         return self._kernel
 
     def solve(self, b):
@@ -553,8 +604,8 @@ class RowReduction:
         b = _as_rows(F, b, m)
         if self._transform is None:
             aug = np.hstack([self.matrix.data, np.eye(m, dtype=np.int64)])
-            Raug, _ = _rref(F, aug)
-            self._transform = Raug[:, n:]
+            _rref(F, aug)
+            self._transform = aug[:, n:]
         y = F.mat_mul(b, self._transform.T)
         if y[..., self.rank :].any():
             return None
@@ -564,6 +615,7 @@ class RowReduction:
 
 
 def row_reduce(matrix):
+    """The RREF of a copy of matrix; the matrix itself is left as it is."""
     return RowReduction(matrix)
 
 
@@ -590,10 +642,22 @@ class Subspace:
             raise AmbientMismatch(
                 f"rows of width {data.shape[1]} in ambient of dim {ambient_dim}"
             )
-        R, piv = _rref(field, data)
+        self._span(field, ambient_dim, _narrow_copy(field, data))
+
+    @classmethod
+    def _of_buffer(cls, field, ambient_dim, R):
+        """The row space of an owned (k, ambient_dim) buffer of scalar
+        indices, which is reduced in place."""
+        self = cls.__new__(cls)
+        self._span(field, ambient_dim, R)
+        return self
+
+    def _span(self, field, ambient_dim, R):
+        piv = _rref(field, R)
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = Matrix(field, R[: len(piv)], copy=False)
+        # an owned int64 copy of the basis rows, so the buffer R is freed
+        self.basis = Matrix(field, R[: len(piv)])
         self.pivots = tuple(piv)
 
     @classmethod
@@ -670,8 +734,8 @@ class Subspace:
             raise NotASubspace("quotient requires the second space inside the first")
         if self.dim == 0:
             return Matrix.zeros(self.field, 0, self.ambient_dim)
-        R, piv = _rref(self.field, other.reduce(self.basis.data))
-        return Matrix(self.field, R[: len(piv)], copy=False)
+        reduced = other.reduce(self.basis.data)
+        return Subspace._of_buffer(self.field, self.ambient_dim, reduced).basis
 
     def quotient_map(self, other):
         """Matrix sending x to the coordinates of x+other in the pivot-rule basis.

@@ -12,8 +12,10 @@ by term: each term of the differential is a product of two neighbouring
 slots, which `np.einsum` exposes as a writeable diagonal view of the zero
 matrix (the unchanged slots are repeated labels), and only the nonzero
 structure constants are added onto it.  They are the largest arrays the
-program allocates, so each is built when `homology` or `cohomology` needs it
-and not kept: it is dropped once its elimination is done.
+program allocates, so each is built when `homology` or `cohomology` needs it,
+directly in the narrowest integer type in which its elimination is exact (see
+`fieldlin`), and reduced in that buffer: the outgoing map in place, the
+incoming one in a transposed copy.  Only the basis rows are kept.
 
 Everything applied to given chains or cochains (boundary, chain maps,
 coboundary, cup product, pairing vector, Gram matrix) is slot contractions:
@@ -37,7 +39,7 @@ from .errors import (
     NotACycle,
     NotUnital,
 )
-from .fieldlin import Matrix, Subspace, _as_rows, _power, row_reduce
+from .fieldlin import Matrix, Subspace, _as_rows, _elimination_dtype, _kernel_in_place, _power
 
 
 def chain_dim(A, m):
@@ -67,12 +69,14 @@ def _slot_mul(F, M, x, before, after):
     return F.mat_mul(M, x).reshape(rows, before, after).transpose(1, 0, 2)
 
 
-def _zeros(rows, cols):
-    """An int64 zero matrix.  A shape whose byte count numpy cannot even
-    represent is out of memory too, where np.zeros would raise ValueError."""
-    if rows * cols * 8 > np.iinfo(np.intp).max:
-        raise MemoryError(f"cannot allocate a {rows} x {cols} int64 matrix")
-    return np.zeros((rows, cols), dtype=np.int64)
+def _zeros(rows, cols, dtype):
+    """A zero matrix of the integer type dtype.  A shape whose byte count numpy
+    cannot even represent is out of memory too, where np.zeros would raise
+    ValueError."""
+    dtype = np.dtype(dtype)
+    if rows * cols * dtype.itemsize > np.iinfo(np.intp).max:
+        raise MemoryError(f"cannot allocate a {rows} x {cols} {dtype} matrix")
+    return np.zeros((rows, cols), dtype=dtype)
 
 
 def _disk_cache_path(A, kind, m):
@@ -88,7 +92,8 @@ def boundary_matrix(A, m):
         raise ValueError("boundary needs m >= 1")
     F, d, c = A.field, A.dim, A.const
     n, rest = d - 1, (d - 1) ** (m - 1)
-    out = _zeros(chain_dim(A, m - 1), chain_dim(A, m))
+    size = (chain_dim(A, m - 1), chain_dim(A, m))
+    out = _zeros(*size, _elimination_dtype(F, *size))
     # (a_0 a_1) (x) a_2 .. a_m, the whole product
     _add_term(F, out, (d, rest, d, n, rest), "trxyr->rtxy", c[:, 1:].transpose(2, 0, 1), 1)
     # (-1)^i .. (x) a_i a_{i+1} (x) .., inner slots drop the unit component
@@ -99,7 +104,7 @@ def boundary_matrix(A, m):
         _add_term(F, out, shape, "btpbxyp->bptxy", inner, (-1) ** i)
     # cyclic term: (-1)^m (a_m a_0) (x) a_1 .. a_{m-1}
     _add_term(F, out, (d, rest, d, rest, n), "tjxjy->jtxy", c[1:].transpose(2, 1, 0), (-1) ** m)
-    return Matrix(F, out, copy=False)
+    return Matrix._of_buffer(F, out)
 
 
 def boundary_apply(A, m, X):
@@ -130,7 +135,8 @@ def coboundary_matrix(A, m):
         raise ValueError("coboundary needs m >= 0")
     F, d, c = A.field, A.dim, A.const
     n, rows = d - 1, (d - 1) ** m
-    out = _zeros(cochain_dim(A, m + 1), cochain_dim(A, m))
+    size = (cochain_dim(A, m + 1), cochain_dim(A, m))
+    out = _zeros(*size, _elimination_dtype(F, *size))
     # a_0 . f(a_1, .., a_m)
     _add_term(F, out, (n, rows, d, rows, d), "ajtjk->jatk", c[1:].transpose(0, 2, 1), 1)
     # (-1)^i f(.., a_{i-1} a_i, ..), reduced part of the product
@@ -141,7 +147,7 @@ def coboundary_matrix(A, m):
     # (-1)^(m+1) f(a_0, .., a_{m-1}) . a_m
     shape = (rows, n, d, rows, d)
     _add_term(F, out, shape, "jbtjk->jbtk", c[:, 1:].transpose(1, 2, 0), (-1) ** (m + 1))
-    return Matrix(F, out, copy=False)
+    return Matrix._of_buffer(F, out)
 
 
 # -- cochains and cup products ------------------------------------------------
@@ -257,9 +263,16 @@ def _homology_basis(F, m, n, outgoing, incoming):
     """Degree-m homology on an n-dimensional space: cycles are the kernel of
     outgoing(), boundaries the row space of incoming() transposed, built in
     that order (None is a zero map), representatives the quotient basis.
-    Each matrix is dropped once reduced, so the two never coexist."""
-    cycles = Subspace.full(F, n) if outgoing is None else row_reduce(outgoing()).kernel
-    boundaries = Subspace(F, n) if incoming is None else Subspace(F, n, incoming().data.T)
+
+    Each matrix is built for this call alone and reduced in one buffer: the
+    outgoing one in place, the incoming one as a transposed copy of the
+    same integer type.  Only basis rows are kept, so the two never coexist.
+    """
+    cycles = Subspace.full(F, n) if outgoing is None else _kernel_in_place(outgoing())
+    if incoming is None:
+        boundaries = Subspace(F, n)
+    else:
+        boundaries = Subspace._of_buffer(F, n, incoming().data.T.copy())
     reps = cycles.quotient_basis(boundaries)
     return HomologyBasis(m, reps.data, cycles, boundaries)
 

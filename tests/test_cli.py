@@ -489,8 +489,10 @@ def test_corpus_writer_reproduces_bundled_files(tmp_path):
     [
         ["kappa", corpus("dual_f3"), "--m", "1", "--n", "1", "--hat"],
         ["degree0", corpus("m2_f3"), "--n", "2"],
+        # symmetric, so the build probe also sees coboundaries
+        ["hh", corpus("dual_f3"), "--max-degree", "3"],
     ],
-    ids=["kappa", "degree0"],
+    ids=["kappa", "degree0", "hh"],
 )
 def test_traced_run_matches_untraced(tmp_path, argv):
     # bench/tracer.py wraps library functions by name; a renamed one breaks it

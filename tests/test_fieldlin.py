@@ -23,6 +23,7 @@ from kuelsh.fieldlin import (
     Subspace,
     _rref_generic,
     _rref_gf2,
+    _elimination_dtype,
     _rref_prime,
     preimage,
     row_reduce,
@@ -589,7 +590,9 @@ def rand_rank(F, m, n, rank, rng):
     return out[rng.sample(range(m), m)]
 
 
-KERNEL_SHAPES = [(0, n) for n in (1, 63, 64, 65, 130)] + [
+KERNEL_SHAPES = [(0, n) for n in (0, 1, 63, 64, 65, 130)] + [
+    (1, 0),
+    (5, 0),
     (1, 1),
     (3, 1),
     (20, 63),
@@ -609,12 +612,19 @@ def kernel_cases(F, rng, shapes=KERNEL_SHAPES):
             yield rand_rank(F, m, n, rank, rng), rank
 
 
-def check_kernel(F, kernel, data, rank):
-    R, piv = kernel(data)
+NARROW = (np.int16, np.int32, np.int64)
+
+
+def check_kernel(F, kernel, data, rank, dtypes=NARROW):
+    """Run the kernel on a copy of data in each integer type: it must leave
+    the reference RREF in that buffer, in its type, and return its pivots."""
     ref, ref_piv = ref_rref(F, data.tolist(), data.shape[1])
-    assert piv == ref_piv and len(piv) == rank
-    assert R.shape == data.shape
-    assert R.tolist() == ref
+    assert len(ref_piv) == rank
+    for dtype in dtypes:
+        R = data.astype(dtype)
+        assert kernel(R) == ref_piv
+        assert R.dtype == dtype and R.shape == data.shape
+        assert R.tolist() == ref
 
 
 def test_rref_gf2_matches_reference():
@@ -633,8 +643,8 @@ def test_rref_generic_matches_reference(F):
 def test_rref_largest_prime_matches_reference():
     F = FiniteField(2**31 - 1)
     rng = random.Random(31)
-    for data, rank in kernel_cases(F, rng, [(4, 6), (6, 4), (5, 5)]):
-        check_kernel(F, lambda d: _rref_generic(F, d), data, rank)
+    for data, rank in kernel_cases(F, rng, [(4, 6), (6, 4), (5, 5), (0, 3), (3, 0)]):
+        check_kernel(F, lambda d: _rref_generic(F, d), data, rank, (np.int64,))
 
 
 @pytest.mark.parametrize("F", [F3, F5, F7], ids=repr)
@@ -649,8 +659,46 @@ def test_rref_prime_largest_prime_matches_reference():
     # shapes reduce the trailing block every other pivot, dozens of times
     F = FiniteField(2**31 - 1)
     rng = random.Random(37)
-    for data, rank in kernel_cases(F, rng, [(4, 6), (6, 4), (40, 65), (67, 65)]):
-        check_kernel(F, lambda d: _rref_prime(F.p, d), data, rank)
+    shapes = [(4, 6), (6, 4), (40, 65), (67, 65), (0, 3), (3, 0)]
+    for data, rank in kernel_cases(F, rng, shapes):
+        check_kernel(F, lambda d: _rref_prime(F.p, d), data, rank, (np.int64,))
+
+
+@pytest.mark.parametrize("p, dtype", [(181, np.int16), (46337, np.int32)])
+def test_rref_prime_reduces_midway_in_a_narrow_buffer(p, dtype):
+    # one unreduced update fits, fewer than the pivots: the trailing block is
+    # reduced before every update after the first
+    F = FiniteField(p)
+    assert (np.iinfo(dtype).max - p) // (p - 1) ** 2 == 1
+    rng = random.Random(p)
+    for data, rank in kernel_cases(F, rng, [(20, 30), (40, 65), (67, 65)]):
+        check_kernel(F, lambda d: _rref_prime(p, d), data, rank, (dtype,))
+    with pytest.raises(TypeError):
+        _rref_prime(p, np.ones((2, 2), dtype=np.int8))
+
+
+@pytest.mark.parametrize("F", [F2, F3, F5, F7, F4, F9, FiniteField(2**31 - 1)], ids=repr)
+def test_elimination_dtype_is_narrowest_exact(F):
+    for rows, cols in [(0, 5), (5, 0), (1, 1), (10, 3000), (3000, 10), (2000, 3000)]:
+        dtype = _elimination_dtype(F, rows, cols)
+        if F.r > 1:
+            assert dtype == np.int16
+            continue
+        # int64 is the widest: past its range `_rref_prime` reduces mid-way
+        bound = min(rows, cols) * (F.p - 1) ** 2 + F.p
+        assert bound <= np.iinfo(dtype).max or dtype == np.int64
+        narrower = [t for t in NARROW if np.iinfo(t).max < np.iinfo(dtype).max]
+        assert all(bound > np.iinfo(t).max for t in narrower)
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4], ids=repr)
+def test_row_reduce_leaves_its_matrix(F):
+    # the public entry copies: only internal elimination consumes a buffer
+    data = rand_rank(F, 6, 9, 4, random.Random(F.q))
+    M = Matrix(F, data)
+    red = row_reduce(M)
+    assert M.data.tolist() == data.tolist()
+    assert red.rref.data.tolist() == ref_rref(F, data.tolist(), 9)[0]
 
 
 @pytest.mark.parametrize("F", [F2, F3, F4, F9], ids=repr)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from kuelsh.errors import DimensionMismatch, NotACocycle, NotACycle, NotUnital
 from kuelsh.fieldlin import FiniteField, Matrix, Subspace, row_reduce
 from kuelsh.hochschild import (
     Cochain,
+    _zeros,
     boundary_apply,
     boundary_matrix,
     chain_dim,
@@ -271,6 +273,46 @@ def test_homology_keeps_no_differential_matrix():
         cohomology(A, m)
     kept = [key for key in A._cache if key[0] in ("boundary", "coboundary")]
     assert kept == []
+
+
+def test_homology_keeps_only_basis_rows():
+    # each differential is reduced in a buffer of its own; a subspace keeps
+    # its basis rows as an int64 array, not a view that holds the buffer
+    TA = trivial_extension(dual_numbers(F3)).algebra
+    for H in (homology(TA, 4), cohomology(TA, 4)):
+        for sub in (H.cycles, H.boundaries):
+            assert sub.basis.data.base is None and sub.basis.data.dtype == np.int64
+        assert H.representatives.base is None
+
+
+def test_homology_peak_memory_is_below_two_int64_differentials():
+    # built once in a narrow integer type and reduced in place, no
+    # differential of degrees 0..5 costs more than twice b_6 in int64 bytes
+    TA = trivial_extension(dual_numbers(F3)).algebra
+    limit = 2 * chain_dim(TA, 5) * chain_dim(TA, 6) * 8
+    tracemalloc.start()
+    try:
+        for m in range(6):
+            homology(TA, m)
+            cohomology(TA, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit, (peak, limit)
+
+
+def test_zeros_counts_the_bytes_of_its_type(monkeypatch):
+    assert _zeros(3, 4, np.int16).dtype == np.int16
+    for rows, dtype in ((2**62, np.int16), (2**61, np.int32), (2**60, np.int64)):
+        with pytest.raises(MemoryError, match=f"{rows} x 2 {np.dtype(dtype)} matrix"):
+            _zeros(rows, 2, dtype)
+    # 2^62 bytes in int16 is addressable, so the guard passes it to numpy
+    calls = []
+    monkeypatch.setattr(np, "zeros", lambda shape, dtype: calls.append((shape, dtype)))
+    _zeros(2**61, 1, np.int16)
+    assert calls == [((2**61, 1), np.dtype(np.int16))]
+    with pytest.raises(MemoryError, match="int64"):
+        _zeros(2**61, 1, np.int64)
 
 
 def test_iota_sends_eps_cycle_to_ta_tuple():
