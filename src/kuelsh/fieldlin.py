@@ -7,8 +7,9 @@ row, so identical inputs always produce identical bases and representatives.
 
 Matrices are dense numpy arrays of scalar indices, int64 except elimination
 buffers.  Row reduction works in place on one buffer in the narrowest of
-int16, int32 and int64 in which min(rows, cols) (p-1)^2 + p fits (int16 over
-extension fields, whose entries are table indices below q <= 512).
+int16, int32 and int64 in which max(min(rows, cols), 1) (p-1)^2 + p fits
+(int16 over extension fields, whose entries are table indices below
+q <= 512).
 Internal elimination consumes its buffer and keeps only the basis rows, as
 int64; `row_reduce` and `Subspace` reduce a copy.  Over F_2 the elimination
 kernel packs each row into uint64 words and clears a pivot column with one
@@ -319,7 +320,15 @@ def _as_rows(field, v, length, ndim=None):
 
 
 class Matrix:
-    """Immutable dense matrix of scalar indices over a finite field."""
+    """Read-only dense matrix of scalar indices over a finite field.
+
+    `data` is int64, except in the matrices `hochschild.boundary_matrix` and
+    `coboundary_matrix` return: those hold their elimination buffer in the
+    signed type `_elimination_dtype` picks, which may be int16 or int32, and
+    homology reduces that buffer in place.  The library's operations on
+    them stay exact (products widen to int64); numpy arithmetic on their
+    `data` should widen it first.
+    """
 
     __slots__ = ("field", "data")
 
@@ -338,7 +347,8 @@ class Matrix:
     @classmethod
     def _of_buffer(cls, field, buf):
         """The matrix on an owned buffer of scalar indices, kept in its own
-        integer type (the one `_elimination_dtype` picks) and not copied."""
+        integer type (the one `_elimination_dtype` picks) and not copied;
+        its builder hands it over for elimination in place."""
         buf.setflags(write=False)
         self = cls.__new__(cls)
         self.field = field
@@ -420,10 +430,12 @@ def _elimination_dtype(field, rows, cols):
     """The narrowest of int16, int32 and int64 in which eliminating a rows x
     cols matrix never wraps: over F_p each of at most min(rows, cols) pivots
     subtracts at most (p-1)^2 from an entry in 0..p-1, so `_rref_prime` needs
-    no reduction mid-way.  Extension-field entries are indices below 512."""
+    no reduction mid-way.  Room for one update is kept even with no pivots,
+    which `_rref_prime` asks of every buffer and which keeps the product of
+    two entries exact.  Extension-field entries are indices below 512."""
     if field.r > 1:
         return np.dtype(np.int16)
-    bound = min(rows, cols) * (field.p - 1) ** 2 + field.p
+    bound = max(min(rows, cols), 1) * (field.p - 1) ** 2 + field.p
     for t in (np.int16, np.int32):
         if bound <= np.iinfo(t).max:
             return np.dtype(t)
@@ -564,14 +576,6 @@ def _kernel(field, R, pivots):
     return Subspace._of_buffer(field, n, K)
 
 
-def _kernel_in_place(matrix):
-    """The kernel of a matrix that its holder gives up: its buffer is reduced
-    in place, so the matrix must not be used again."""
-    R = matrix.data
-    R.setflags(write=True)
-    return _kernel(matrix.field, R, _rref(matrix.field, R))
-
-
 class RowReduction:
     """RREF of a matrix plus rank, kernel and a linear solver."""
 
@@ -581,7 +585,7 @@ class RowReduction:
         self.matrix = matrix
         R = _narrow_copy(matrix.field, matrix.data)
         piv = _rref(matrix.field, R)
-        self.rref = Matrix._of_buffer(matrix.field, R)
+        self.rref = Matrix(matrix.field, R)
         self.pivots = tuple(piv)
         self.rank = len(piv)
         self._kernel = None

@@ -39,7 +39,7 @@ from .errors import (
     NotACycle,
     NotUnital,
 )
-from .fieldlin import Matrix, Subspace, _as_rows, _elimination_dtype, _kernel_in_place, _power
+from .fieldlin import Matrix, Subspace, _as_rows, _elimination_dtype, _kernel, _power, _rref
 
 
 def chain_dim(A, m):
@@ -268,7 +268,12 @@ def _homology_basis(F, m, n, outgoing, incoming):
     outgoing one in place, the incoming one as a transposed copy of the
     same integer type.  Only basis rows are kept, so the two never coexist.
     """
-    cycles = Subspace.full(F, n) if outgoing is None else _kernel_in_place(outgoing())
+    if outgoing is None:
+        cycles = Subspace.full(F, n)
+    else:
+        R = outgoing().data  # nothing else holds the matrix: reduce in place
+        R.setflags(write=True)
+        cycles = _kernel(F, R, _rref(F, R))
     if incoming is None:
         boundaries = Subspace(F, n)
     else:

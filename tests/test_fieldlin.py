@@ -24,6 +24,7 @@ from kuelsh.fieldlin import (
     _rref_generic,
     _rref_gf2,
     _elimination_dtype,
+    _rref,
     _rref_prime,
     preimage,
     row_reduce,
@@ -677,18 +678,37 @@ def test_rref_prime_reduces_midway_in_a_narrow_buffer(p, dtype):
         _rref_prime(p, np.ones((2, 2), dtype=np.int8))
 
 
-@pytest.mark.parametrize("F", [F2, F3, F5, F7, F4, F9, FiniteField(2**31 - 1)], ids=repr)
+WIDE_PRIMES = [FiniteField(p) for p in (191, 46349, 2**31 - 1)]
+
+
+@pytest.mark.parametrize(
+    "F", [F2, F3, F5, F7, F4, F9] + WIDE_PRIMES, ids=repr
+)
 def test_elimination_dtype_is_narrowest_exact(F):
-    for rows, cols in [(0, 5), (5, 0), (1, 1), (10, 3000), (3000, 10), (2000, 3000)]:
+    rng = random.Random(F.q)
+    for rows, cols in [(0, 5), (5, 0), (1, 1), (10, 300), (300, 10), (2000, 3000)]:
         dtype = _elimination_dtype(F, rows, cols)
         if F.r > 1:
             assert dtype == np.int16
-            continue
-        # int64 is the widest: past its range `_rref_prime` reduces mid-way
-        bound = min(rows, cols) * (F.p - 1) ** 2 + F.p
-        assert bound <= np.iinfo(dtype).max or dtype == np.int64
-        narrower = [t for t in NARROW if np.iinfo(t).max < np.iinfo(dtype).max]
-        assert all(bound > np.iinfo(t).max for t in narrower)
+        else:
+            # int64 is the widest: past its range `_rref_prime` reduces mid-way
+            bound = max(min(rows, cols), 1) * (F.p - 1) ** 2 + F.p
+            assert bound <= np.iinfo(dtype).max or dtype == np.int64
+            narrower = [t for t in NARROW if np.iinfo(t).max < np.iinfo(dtype).max]
+            assert all(bound > np.iinfo(t).max for t in narrower)
+        if rows * cols <= 3000:
+            # and the kernel for this field accepts the buffer it is given
+            data = rand_rank(F, rows, cols, min(rows, cols), rng)
+            check_kernel(F, lambda d: _rref(F, d), data, min(rows, cols), (dtype,))
+
+
+@pytest.mark.parametrize("F", WIDE_PRIMES, ids=repr)
+def test_zero_dimensional_spaces_over_wide_primes(F):
+    # a shape with no pivots still gets room for one unreduced update
+    assert Subspace(F, 3).dim == 0
+    assert Subspace.full(F, 0).dim == 0
+    assert row_reduce(Matrix.identity(F, 2)).kernel.dim == 0
+    assert row_reduce(Matrix.zeros(F, 0, 4)).kernel == Subspace.full(F, 4)
 
 
 @pytest.mark.parametrize("F", [F2, F3, F4], ids=repr)
