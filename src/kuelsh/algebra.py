@@ -331,9 +331,6 @@ def trivial_extension(A):
     return te
 
 
-# -- unit normalization -------------------------------------------------------
-
-
 # -- JSON schema (CLI input format) -------------------------------------------
 
 
@@ -404,6 +401,9 @@ def algebra_from_json(obj):
         dtype=np.int64,
     )
     return Algebra(field, labels, const)
+
+
+# -- unit normalization -------------------------------------------------------
 
 
 def find_unit(field, const):

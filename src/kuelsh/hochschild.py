@@ -82,7 +82,7 @@ def _zeros(rows, cols, dtype):
 def _disk_cache_path(A, kind, m):
     # There is no disk cache.  bench/tracer.py's build probe calls this by
     # name; the stub goes when spans inside the library replace that tracer
-    # (ROADMAP item 4).
+    # (ROADMAP item 5).
     return None
 
 

@@ -421,6 +421,25 @@ def test_unallocatable_shape_is_out_of_memory(capsys, argv):
     assert err.startswith("error: out of memory: cannot allocate") and err.count("\n") == 1
 
 
+def test_kappa_hat_in_degree_120_fails_within_its_memory_limit():
+    # A's chains stay 2-dimensional in degree 3 * 40; T(A)'s degree-40
+    # cochains cannot be addressed, and the run says so before it allocates.
+    # Run only under the address-space limit: without a bound on the push
+    # of A's cycles into T(A), this ran until the machine's memory gave out.
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kuelsh.cli", "kappa", corpus("dual_f3"), "--m", "40", "--n", "1"],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: out of memory: cannot allocate a ")
+    assert proc.stderr.endswith(" int64 matrix\n")
+
+
 def test_kappa_requires_symmetry_without_hat(capsys):
     code, _, err = run(capsys, "kappa", corpus("ut2_f2"), "--m", "1", "--n", "1")
     assert code == 1

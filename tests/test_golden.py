@@ -41,6 +41,13 @@ CORPUS = (
 # corpus files whose `kappa --m 2 --n 1 --hat` report is pinned
 KAPPA_M2 = ("dual_f5", "trunc3_f3")
 
+# corpus files and `kappa` arguments pinned in degree p^n m >= 9
+KAPPA_HIGH = (
+    ("dual_f3", "--m", "2", "--n", "2"),
+    ("dual_f2", "--m", "3", "--n", "3"),
+    ("trunc3_f3", "--m", "1", "--n", "2", "--hat"),
+)
+
 # (algebra name, max degree m): representatives of HH_0 .. HH_m
 HOMOLOGY = (("T(dual_f2)", 4), ("T(dual_f3)", 4), ("ut3_f2", 3))
 
@@ -74,6 +81,11 @@ GOLDEN = {
     # the earlier code ran out of memory on these two
     "kappa dual_f5 --m 2 --n 1 --hat": "a0284a623ab8ba6bae29b5c70c6c436c40cbc50e6530310acffc2acf806eb7cc",
     "kappa trunc3_f3 --m 2 --n 1 --hat": "633b8b1f03879230031ed84bb2a1b3df88492d24d8b7705233ccd0d57e414f3b",
+    # recorded when kappa began pairing one slot group at a time; the earlier
+    # code ran out of memory on these three
+    "kappa dual_f3 --m 2 --n 2": "e9f6280c26e513b1a4237b7e8fab050bfeaef23a65cc1a731162160fd2888b02",
+    "kappa dual_f2 --m 3 --n 3": "13ed7b0f9b69649cbadfbdaee7fd2f16423f22cbeed352c422e5c10e224509a3",
+    "kappa trunc3_f3 --m 1 --n 2 --hat": "6f2f69d67dcbe58c33eec14374bc59bae2555d7adfdde4eaa0c1d687ddc7dc28",
     "homology T(dual_f2) 0": "b24a918c46bf78fbd8922df31b8b1a160dbd2b3b167a5dc6cacd47ae5ece06ef",
     "homology T(dual_f2) 1": "4648fb18662ce248d41f3d7fceefc3ef3e6a0abeffab9bdee2fc8ecb4d16d5d9",
     "homology T(dual_f2) 2": "0856987869ec019be9985ae772bcf5741352eda9778e2a4e45ec6dcae72ce88f",
@@ -134,6 +146,9 @@ def digests():
         out[f"kappa {name} --m 2 --n 1 --hat"] = _cli_digest(
             "kappa", path, "--m", "2", "--n", "1", "--hat"
         )
+    for name, *args in KAPPA_HIGH:
+        path = os.path.join(CORPUS_DIR, f"{name}.json")
+        out[" ".join(("kappa", name, *args))] = _cli_digest("kappa", path, *args)
     for name, top in HOMOLOGY:
         A = _algebra(name)
         for m in range(top + 1):

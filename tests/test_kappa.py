@@ -6,33 +6,58 @@ import pytest
 import kuelsh.kappa
 from kuelsh import hochschild
 from kuelsh.algebra import (
+    Algebra,
+    AlgebraMorphism,
     BilinearForm,
+    algebra_validate,
+    identity_morphism,
+    morphism_validate,
     symmetrizing_form_search,
     tensor_product,
     trivial_extension,
 )
-from kuelsh.catalog import dual_numbers, field_algebra, standard_corpus, upper_triangular
+from kuelsh.catalog import (
+    dual_numbers,
+    field_algebra,
+    standard_corpus,
+    truncated_polynomial,
+    upper_triangular,
+)
 from kuelsh.degree0 import hh0_data, kappa_n_direct
 from kuelsh.errors import DimensionMismatch, NotACycle
 from kuelsh.fieldlin import FiniteField, Matrix, row_reduce
 from kuelsh.hochschild import (
     Cochain,
+    _pairing_rows,
+    boundary_apply,
     boundary_matrix,
     chain_dim,
+    chain_map_apply,
+    coboundary_apply,
     coboundary_matrix,
+    cochain_dim,
     cohomology,
     cup_power,
+    gram_matrix,
     hh_of_map,
     homology,
     induced_chain_map,
     pairing_vector,
 )
-from kuelsh.kappa import _kappa_on_cycles, kappa_compare_symmetric, kappa_hat, kappa_m_n
-from kuelsh.oracle import periodic_hh_dual_numbers
+from kuelsh.kappa import (
+    _kappa_on_cycles,
+    _pairing_of_powers,
+    kappa_compare_symmetric,
+    kappa_hat,
+    kappa_m_n,
+)
+from kuelsh.oracle import periodic_hh_dual_numbers, ta_iso_dual
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
 F4 = FiniteField(2, 2, [1, 1, 1])
+F5 = FiniteField(5)
+F9 = FiniteField(3, 2, [1, 0, 1])
 
 CORPUS = standard_corpus()
 SYMMETRIC = ["dual_f2", "dual_f3", "dual_f5", "trunc2_f2", "trunc3_f3", "m2_f3", "k_f2"]
@@ -130,7 +155,6 @@ def test_kappa_hat_dual_numbers_vanishes():
 
 def test_kappa_hat_dual_f5_m2_is_zero():
     # the vanishing of the README at p = 5, which once ran out of memory
-    F5 = FiniteField(5)
     k = kappa_hat(dual_numbers(F5), 2, 1)
     shape = (periodic_hh_dual_numbers(F5, 2).dimension, periodic_hh_dual_numbers(F5, 10).dimension)
     assert k.matrix.data.shape == shape == (1, 1)
@@ -295,3 +319,159 @@ def test_kappa_twist_bookkeeping_over_f4():
     lam = lam_of(A)
     k = kappa_m_n(A, lam, 1, 1)
     assert k.twist == (-1) % 2 == 1
+
+
+# -- the dense reference route ------------------------------------------------------
+#
+# kappa once formed the cup powers z^e and the pushed cycles in full, in the
+# degree-e*m chain and cochain spaces of the algebra T that carries the form.
+# That route is kept here as the reference for the factor-at-a-time pairing.
+
+
+def ref_pairing_of_powers(theta, lam, m, e, cochains, X):
+    """<z_i^e, theta_* x_j> from the cup power, its pairing vector in degree
+    e*m and the pushed chain, each built in full."""
+    T = theta.target
+    form = BilinearForm.from_linear_form(T, lam)
+    powers = [cup_power(Cochain.from_flat(T, m, z), e).flat() for z in cochains]
+    W = _pairing_rows(form, e * m, np.reshape(powers, (len(powers), cochain_dim(T, e * m))))
+    return T.field.mat_mul(chain_map_apply(theta, e * m, X), W.T)
+
+
+def ref_kappa_on_cycles(T, lam, m, n, cycles, theta=None):
+    """kappa on theta_* of the cycles by the dense route, with its dense
+    checks: the pushed cycles are cycles of T and d(z^e) = 0."""
+    theta = theta or identity_morphism(T)
+    F, e = T.field, T.field.p**n
+    pushed = chain_map_apply(theta, e * m, cycles)
+    if e * m >= 1 and boundary_apply(T, e * m, pushed).any():
+        raise NotACycle("kappa applied to a chain that is not a cycle")
+    reps = cohomology(T, m).representatives
+    for z in reps:
+        assert coboundary_apply(cup_power(Cochain.from_flat(T, m, z), e)).is_zero()
+    B = F.vfrob(ref_pairing_of_powers(theta, lam, m, e, reps, cycles), -n)
+    return Matrix(F, row_reduce(gram_matrix(T, lam, m)).solve(B).T)
+
+
+def _basis_change(A, seed):
+    """The identity of A, from its basis to a random one f_0 = 1, f_1..f_{d-1}
+    whose f_i all have a nonzero unit coordinate: theta_bar then has
+    components along the unit."""
+    F, d = A.field, A.dim
+    rng = np.random.default_rng(seed)
+    while True:
+        rest = np.hstack([rng.integers(1, F.q, (d - 1, 1)), rng.integers(0, F.q, (d - 1, d - 1))])
+        P = np.vstack([A.unit(), rest])
+        red = row_reduce(Matrix(F, P.T))
+        if red.rank == d:
+            break
+    Q = np.stack([red.solve(e) for e in np.eye(d, dtype=np.int64)])  # e_k in f-coordinates
+    const = [[F.mat_mul(A.multiply(P[a], P[b]), Q) for b in range(d)] for a in range(d)]
+    B = Algebra(F, A.labels, const)
+    assert algebra_validate(B).ok
+    return AlgebraMorphism(A, B, Matrix(F, Q.T))
+
+
+def _pairing_cases():
+    """(theta, m, e) over F2, F3, F5, F4, F9: the identity of, the inclusion
+    into T(A) of, and a unit-mixing basis change of k, k[eps], k[t]/t^3 and
+    UT2 and of their trivial extensions, plus T(k[eps]) -> k[eps] (x) k[eps]."""
+    for F in (F2, F3, F5, F4, F9):
+        thetas = [ta_iso_dual(F)]
+        bases = (field_algebra(F), dual_numbers(F), truncated_polynomial(F, 3), upper_triangular(F, 2))
+        for A in bases:
+            te = trivial_extension(A)
+            thetas.append(te.iota)
+            for B in (A, te.algebra):
+                thetas += [identity_morphism(B), _basis_change(B, B.dim)]
+        for theta in thetas:
+            for m in range(4):
+                for e in range(1, 4):
+                    if chain_dim(theta.target, e * m) <= 4000:
+                        yield theta, m, e
+
+
+def test_cup_power_pairing_matches_dense_route():
+    rng = np.random.default_rng(13)
+    unit_mixing = total = nonzero = 0
+    for case, (theta, m, e) in enumerate(_pairing_cases()):
+        A, T = theta.source, theta.target
+        F = T.field
+        unit_mixing += bool(theta.matrix.data[0, 1:].any())
+        k, kz = rng.integers(1, 4, 2)
+        if case % 7 == 0:
+            k = 0
+        X = rng.integers(0, F.q, (k, chain_dim(A, e * m)))
+        Z = rng.integers(0, F.q, (kz, cochain_dim(T, m))) * (case % 7 != 1)  # zero cochains
+        lam = rng.integers(0, F.q, T.dim)
+        got = _pairing_of_powers(theta, lam, m, e, Z, X)
+        assert got.shape == (k, kz)
+        assert np.array_equal(got, ref_pairing_of_powers(theta, lam, m, e, Z, X)), (F, A.dim, m, e)
+        total += 1
+        nonzero += bool(got.any())
+    assert unit_mixing >= 30
+    assert total >= 600 and nonzero > total // 2, (total, nonzero)
+
+
+def _corpus_routes(m, n):
+    """(T, lam, cycles, theta) for kappa and kappa-hat on the corpus, where the
+    dense reference fits in a few megabytes."""
+    for name, A in CORPUS.items():
+        e = A.field.p**n
+        if chain_dim(A, e * m + 1) > 5_000:
+            continue
+        cycles = homology(A, e * m).representatives
+        if name in SYMMETRIC:
+            yield A, lam_of(A), cycles, None
+        te = trivial_extension(A)
+        if chain_dim(te.algebra, e * m) <= 100_000:
+            yield te.algebra, te.lam, cycles, te.iota
+
+
+def test_kappa_on_cycles_matches_dense_route_on_corpus():
+    seen = 0
+    for m, n in ((1, 1), (2, 1), (0, 1)):
+        for T, lam, cycles, theta in _corpus_routes(m, n):
+            got = _kappa_on_cycles(T, lam, m, n, cycles, theta)
+            assert got == ref_kappa_on_cycles(T, lam, m, n, cycles, theta), (T.dim, m, n)
+            seen += 1
+    assert seen >= 45
+
+
+def test_kappa_dual_f3_high_degree_ranks():
+    # degree 18: the symmetric map survives, the trivial-extension route vanishes
+    A = CORPUS["dual_f3"]
+    rep = kappa_compare_symmetric(A, lam_of(A), 2, 2)
+    assert (rep.kappa.domain_degree, rep.kappa.codomain_degree) == (18, 2)
+    assert (rep.kappa.rank, rep.kappa_hat.rank, rep.equal) == (1, 0, False)
+
+
+def test_kappa_makes_no_degree_em_cochain_or_chain(monkeypatch):
+    # only T's degree-m spaces are built: no cup power, no push of the
+    # degree-e*m cycles, and pairing vectors in degree m alone (Gram matrix)
+    A = dual_numbers(F3)
+    te = trivial_extension(A)
+    m, n = 2, 1
+    calls = []
+
+    def spy(name, real):
+        def wrapped(*args):
+            calls.append((name, args[1] if name != "cup_power" else None))
+            return real(*args)
+
+        return wrapped
+
+    for name in ("cup_power", "chain_map_apply", "_pairing_rows"):
+        wrapped = spy(name, getattr(hochschild, name))
+        monkeypatch.setattr(hochschild, name, wrapped)
+        monkeypatch.setattr(kuelsh.kappa, name, wrapped, raising=False)
+    kappa_m_n(A, lam_of(A), m, n)
+    kappa_hat(A, m, n)
+    assert ("_pairing_rows", m) in calls and ("chain_map_apply", m) in calls  # hh_of_map(pi, m)
+    assert all(name != "cup_power" and degree == m for name, degree in calls), calls
+    e = A.field.p**n
+    basis = np.eye(chain_dim(A, e * m), dtype=np.int64)
+    non_cycle = next(x for x in basis if boundary_apply(A, e * m, x[None]).any())
+    assert morphism_validate(te.iota)
+    with pytest.raises(NotACycle):
+        _kappa_on_cycles(te.algebra, te.lam, m, n, [non_cycle], te.iota)
