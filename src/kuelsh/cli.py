@@ -40,7 +40,7 @@ class ParseFailure(Exception):
 
 
 def _degree(text):
-    """argparse type of --m, --n and --max-degree: an integer >= 0."""
+    """argparse type of --m, --n, --max-degree and --budget: an integer >= 0."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return int(text)
@@ -243,7 +243,7 @@ def build_parser():
     p = sub.add_parser("hh", help="Hochschild homology dimension table")
     p.add_argument("path")
     p.add_argument("--max-degree", type=_degree, default=3, dest="max_degree")
-    p.add_argument("--budget", type=int, default=DEFAULT_COLUMN_BUDGET)
+    p.add_argument("--budget", type=_degree, default=DEFAULT_COLUMN_BUDGET)
     p.add_argument("--force", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--form", default="auto")

@@ -8,10 +8,11 @@ row, so identical inputs always produce identical bases and representatives.
 Matrices are dense numpy arrays of scalar indices, int64 except elimination
 buffers.  Row reduction works in place on one buffer in the narrowest of
 int16, int32 and int64 in which max(min(rows, cols), 1) (p-1)^2 + p fits
-(int16 over extension fields, whose entries are table indices below
-q <= 512).
+(int16 over extension fields, whose entries are table indices below 512).
 Internal elimination consumes its buffer and keeps only the basis rows, as
-int64; `row_reduce` and `Subspace` reduce a copy.  Over F_2 the elimination
+int64; `row_reduce` and `Subspace` reduce a copy.  A kernel is read off one
+right-to-left reduction, and the representatives of V/W are selected
+by pivot: V's basis rows at the pivots W lacks.  Over F_2 the elimination
 kernel packs each row into uint64 words and clears a pivot column with one
 vectorized XOR of the rows that hit it.  Over odd prime fields it updates
 only the columns right of the pivot and delays reduction mod p: each pivot
@@ -563,17 +564,17 @@ def _narrow_copy(field, data):
     return data.astype(_elimination_dtype(field, *data.shape), order="C")
 
 
-def _kernel(field, R, pivots):
-    """The kernel of a matrix, read off its RREF R and pivot columns."""
+def _kernel(field, R):
+    """The kernel of the matrix in the owned buffer R, reduced right to left in
+    place: each pivot row i is then zero right of its pivot q_i, so the vectors
+    e_f - sum_i R[i, f] e_{q_i}, f free, lead at f and are its RREF basis."""
     n = R.shape[1]
-    pivset = set(pivots)
-    free = [j for j in range(n) if j not in pivset]
-    K = np.zeros((len(free), n), dtype=_elimination_dtype(field, len(free), n))
-    if free:
-        K[np.arange(len(free)), free] = 1
-        if pivots:
-            K[:, list(pivots)] = field.vneg(R[: len(pivots)][:, free].T)
-    return Subspace._of_buffer(field, n, K)
+    pivots = [n - 1 - j for j in _rref(field, R[:, ::-1])]
+    free = sorted(set(range(n)) - set(pivots))
+    K = np.zeros((len(free), n), dtype=np.int64)
+    K[np.arange(len(free)), free] = 1
+    K[:, pivots] = field.vneg(R[: len(pivots)][:, free].T)
+    return Subspace._of_buffer(field, n, K, free)
 
 
 class RowReduction:
@@ -594,7 +595,8 @@ class RowReduction:
     @property
     def kernel(self):
         if self._kernel is None:
-            self._kernel = _kernel(self.matrix.field, self.rref.data, self.pivots)
+            F = self.matrix.field
+            self._kernel = _kernel(F, _narrow_copy(F, self.matrix.data))
         return self._kernel
 
     def solve(self, b):
@@ -649,20 +651,21 @@ class Subspace:
         self._span(field, ambient_dim, _narrow_copy(field, data))
 
     @classmethod
-    def _of_buffer(cls, field, ambient_dim, R):
-        """The row space of an owned (k, ambient_dim) buffer of scalar
-        indices, which is reduced in place."""
+    def _of_buffer(cls, field, ambient_dim, R, pivots=None):
+        """The row space of an owned (k, ambient_dim) buffer of scalar indices,
+        reduced in place; given its pivots, R is an int64 RREF and is the basis."""
         self = cls.__new__(cls)
-        self._span(field, ambient_dim, R)
+        self._span(field, ambient_dim, R, pivots)
         return self
 
-    def _span(self, field, ambient_dim, R):
-        piv = _rref(field, R)
+    def _span(self, field, ambient_dim, R, pivots=None):
+        if pivots is None:  # an owned int64 copy of the basis rows frees R
+            pivots = _rref(field, R)
+            R = R[: len(pivots)].astype(np.int64)
         self.field = field
         self.ambient_dim = ambient_dim
-        # an owned int64 copy of the basis rows, so the buffer R is freed
-        self.basis = Matrix(field, R[: len(piv)])
-        self.pivots = tuple(piv)
+        self.basis = Matrix(field, R, copy=False)
+        self.pivots = tuple(pivots)
 
     @classmethod
     def full(cls, field, n):
@@ -732,14 +735,14 @@ class Subspace:
         return Subspace(self.field, self.ambient_dim, vecs)
 
     def quotient_basis(self, other):
-        """Coset representatives of self/other; requires other <= self."""
+        """Coset representatives of self/other; requires other <= self.  They
+        are self's basis rows at the pivots other lacks: other's pivots are among
+        self's, these rows are zero there, so they are the RREF of self mod other."""
         self._check_ambient(other)
         if not self.contains(other):
             raise NotASubspace("quotient requires the second space inside the first")
-        if self.dim == 0:
-            return Matrix.zeros(self.field, 0, self.ambient_dim)
-        reduced = other.reduce(self.basis.data)
-        return Subspace._of_buffer(self.field, self.ambient_dim, reduced).basis
+        keep = np.isin(self.pivots, other.pivots, invert=True)
+        return Matrix(self.field, self.basis.data[keep], copy=False)
 
     def quotient_map(self, other):
         """Matrix sending x to the coordinates of x+other in the pivot-rule basis.

@@ -14,8 +14,9 @@ matrix (the unchanged slots are repeated labels), and only the nonzero
 structure constants are added onto it.  They are the largest arrays the
 program allocates, so each is built when `homology` or `cohomology` needs it,
 directly in the narrowest integer type in which its elimination is exact (see
-`fieldlin`), and reduced in that buffer: the outgoing map in place, the
-incoming one in a transposed copy.  Only the basis rows are kept.
+`fieldlin`), and reduced in that buffer: the outgoing map in place and right
+to left, its kernel read off that form, the incoming one in a transposed copy.
+Representatives are selected by pivot, and only basis rows are kept.
 
 Everything applied to given chains or cochains (boundary, chain maps,
 coboundary, cup product, pairing vector, Gram matrix) is slot contractions:
@@ -39,7 +40,7 @@ from .errors import (
     NotACycle,
     NotUnital,
 )
-from .fieldlin import Matrix, Subspace, _as_rows, _elimination_dtype, _kernel, _power, _rref
+from .fieldlin import Matrix, Subspace, _as_rows, _elimination_dtype, _kernel, _power
 
 
 def chain_dim(A, m):
@@ -262,18 +263,14 @@ class HomologyBasis:
 def _homology_basis(F, m, n, outgoing, incoming):
     """Degree-m homology on an n-dimensional space: cycles are the kernel of
     outgoing(), boundaries the row space of incoming() transposed, built in
-    that order (None is a zero map), representatives the quotient basis.
-
-    Each matrix is built for this call alone and reduced in one buffer: the
-    outgoing one in place, the incoming one as a transposed copy of the
-    same integer type.  Only basis rows are kept, so the two never coexist.
-    """
+    that order (None is a zero map) and each reduced to its basis rows before
+    the next is built, representatives the quotient basis."""
     if outgoing is None:
         cycles = Subspace.full(F, n)
     else:
         R = outgoing().data  # nothing else holds the matrix: reduce in place
         R.setflags(write=True)
-        cycles = _kernel(F, R, _rref(F, R))
+        cycles = _kernel(F, R)
     if incoming is None:
         boundaries = Subspace(F, n)
     else:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import identity_morphism, trivial_extension
 from .errors import DegenerateForm, NotACocycle, NotACycle
-from .fieldlin import Matrix, SemilinearMap, _as_rows, row_reduce
+from .fieldlin import Matrix, SemilinearMap, _as_rows, _power, row_reduce
 from .hochschild import (
     Cochain,
     _slot_mul,
@@ -72,9 +72,12 @@ def _pairing_of_powers(theta, lam, m, e, cochains, X):
     right = F.mat_mul(X.reshape(k, d, g**e).transpose(0, 2, 1).reshape(k * g**e, d), M.T)
     B = np.zeros((k, kz), dtype=np.int64)
     for i in range(kz):
-        Y = right
-        for left in range(e - 1, -1, -1):
-            Y = F.mat_mul(Y.reshape(k * g**left, g * D), L[i])
+        if g == 1:  # every slot group is one index: the e products are L[i]^e
+            Y = F.mat_mul(right, _power(F.mat_mul, L[i], e))
+        else:
+            Y = right
+            for left in range(e - 1, -1, -1):
+                Y = F.mat_mul(Y.reshape(k * g**left, g * D), L[i])
         B[:, i] = F.mat_mul(Y, lam)
     return B
 

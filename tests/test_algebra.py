@@ -450,6 +450,25 @@ def test_form_search_m2():
     assert res.status == "found"
 
 
+def test_form_search_samples_past_the_exhaustive_bound():
+    # over F_{2^31-1} every solution space of dimension s >= 1 has q^s > 2^20
+    # candidates, so the search samples; with no hit it cannot say "none"
+    F = FiniteField(2**31 - 1)
+    for A, status in [
+        (dual_numbers(F), "found"),
+        (truncated_polynomial(F, 3), "found"),
+        (upper_triangular(F, 2), "unknown"),
+    ]:
+        res = symmetrizing_form_search(A)
+        assert res.status == status
+        if status == "found":
+            form = BilinearForm.from_linear_form(A, res.form)
+            assert form.is_symmetric() and form.is_nondegenerate()
+            assert np.array_equal(symmetrizing_form_search(A).form, res.form)
+        else:
+            assert res.form is None
+
+
 def test_found_forms_are_symmetrizing():
     for name in ("dual_f2", "dual_f3", "dual_f5", "trunc3_f3", "m2_f3", "k_f2"):
         A = CORPUS[name]

@@ -453,8 +453,9 @@ def test_kappa_requires_symmetry_without_hat(capsys):
         ["kappa", corpus("dual_f3"), "--m", "1", "--n", "-1"],
         ["degree0", corpus("dual_f3"), "--n", "-2"],
         ["hh", corpus("dual_f3"), "--max-degree", "-1"],
+        ["hh", corpus("dual_f3"), "--budget", "-1"],
     ],
-    ids=["kappa-m", "kappa-n", "degree0-n", "hh-max-degree"],
+    ids=["kappa-m", "kappa-n", "degree0-n", "hh-max-degree", "hh-budget"],
 )
 def test_negative_degrees_rejected_with_usage(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -748,6 +748,51 @@ def rand_block(F, k, n, rng):
     ).reshape(k, n)
 
 
+def ref_kernel(F, data):
+    """The kernel by the elimination route: the left-to-right RREF, the
+    kernel vectors K read off it, then K reduced again into a Subspace."""
+    n = data.shape[1]
+    R, piv = ref_rref(F, data.tolist(), n)
+    free = [j for j in range(n) if j not in piv]
+    K = np.zeros((len(free), n), dtype=np.int64)
+    K[np.arange(len(free)), free] = 1
+    K[:, piv] = F.vneg(np.array(R, dtype=np.int64).reshape(len(R), n)[: len(piv)][:, free].T)
+    return Subspace(F, n, K)
+
+
+def ref_quotient_basis(V, W):
+    """The quotient by the elimination route: V's basis reduced modulo W,
+    then reduced again into a Subspace."""
+    return Subspace(V.field, V.ambient_dim, W.reduce(V.basis.data)).basis
+
+
+QUOTIENT_SHAPES = [(0, 0), (0, 5), (5, 0), (1, 1), (4, 4), (6, 11), (11, 6), (20, 70)]
+
+
+@pytest.mark.parametrize("F", [F2, F3, F5, F4, F9, FiniteField(2**31 - 1)], ids=repr)
+def test_kernel_and_quotient_match_elimination_routes(F):
+    # the right-to-left kernel and the quotient selected by pivot are the
+    # RREF bases the elimination routes give, on zero, full-rank and
+    # rank-deficient shapes; each nested pair W <= V is compared too
+    rng = random.Random(3 * F.q)
+    for m, n in QUOTIENT_SHAPES:
+        for rank in sorted({0, min(m, n) // 2, min(m, n)}):
+            data = rand_rank(F, m, n, rank, rng)
+            ker = row_reduce(Matrix(F, data)).kernel
+            ref = ref_kernel(F, data)
+            assert ker == ref and ker.pivots == ref.pivots
+            assert ker.dim == n - rank and ker.basis.data.base is None
+            for V in (ker, Subspace(F, n, data)):
+                subs = [Subspace(F, n), V]
+                for k in range(V.dim + 1):
+                    rows = F.mat_mul(rand_block(F, k, V.dim, rng), V.basis.data)
+                    subs.append(Subspace(F, n, rows))
+                for W in subs:
+                    Q = V.quotient_basis(W)
+                    assert Q == ref_quotient_basis(V, W)
+                    assert Q.rows == V.dim - W.dim
+
+
 @pytest.mark.parametrize("F", [F2, F3, F4, F9], ids=repr)
 def test_block_solve_matches_single_rows(F):
     rng = random.Random(11 * F.q)

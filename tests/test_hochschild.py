@@ -22,6 +22,7 @@ from kuelsh.catalog import (
     truncated_polynomial,
     upper_triangular,
 )
+from kuelsh import fieldlin
 from kuelsh.degree0 import center, commutator_space, hh0_data
 from kuelsh.errors import DimensionMismatch, NotACocycle, NotACycle, NotUnital
 from kuelsh.fieldlin import FiniteField, Matrix, Subspace, row_reduce
@@ -292,6 +293,31 @@ def test_homology_keeps_only_basis_rows():
         for sub in (H.cycles, H.boundaries):
             assert sub.basis.data.base is None and sub.basis.data.dtype == np.int64
         assert H.representatives.base is None
+
+
+def test_homology_eliminates_each_differential_once(monkeypatch):
+    # the cycles are read off one right-to-left elimination of the outgoing
+    # map and the representatives are selected by pivot: two eliminations
+    # per degree, and the quotient's one product is its containment check
+    TA = trivial_extension(dual_numbers(F3)).algebra
+    calls = []
+    rref, mat_mul, quotient = fieldlin._rref, FiniteField.mat_mul, Subspace.quotient_basis
+
+    def spy_quotient(self, other):
+        calls.append("(")
+        out = quotient(self, other)
+        calls.append(")")
+        return out
+
+    monkeypatch.setattr(fieldlin, "_rref", lambda *a: calls.append("rref") or rref(*a))
+    monkeypatch.setattr(FiniteField, "mat_mul", lambda *a: calls.append("mul") or mat_mul(*a))
+    monkeypatch.setattr(Subspace, "quotient_basis", spy_quotient)
+    for m in range(1, 5):
+        for H in (homology, cohomology):
+            calls.clear()
+            H(TA, m)
+            assert calls.count("rref") == 2, (H.__name__, m)
+            assert calls[calls.index("(") + 1 : calls.index(")")] == ["mul"]
 
 
 def test_homology_peak_memory_is_below_two_int64_differentials():

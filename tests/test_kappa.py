@@ -89,6 +89,27 @@ def test_kappa_m0_full_symmetric_corpus():
         assert kappa_m_n(A, lam, 0, 1).map == kappa_n_direct(A, lam, 1), name
 
 
+def test_kappa_m0_high_power_takes_logarithmic_products(monkeypatch):
+    # at m = 0 each slot group is one index, so the p^n contractions are one
+    # matrix power: n = 20 takes a few dozen products, not 3^20
+    mat_mul, calls = FiniteField.mat_mul, []
+
+    def spy(*args):
+        calls.append(None)
+        if len(calls) > 2000:
+            raise RuntimeError("more than 2000 products")
+        return mat_mul(*args)
+
+    lams = {name: lam_of(CORPUS[name]) for name in ("dual_f3", "trunc3_f3")}
+    monkeypatch.setattr(FiniteField, "mat_mul", spy)
+    for name, lam in lams.items():
+        A = CORPUS[name]
+        calls.clear()
+        assert kappa_m_n(A, lam, 0, 20).map == kappa_n_direct(A, lam, 20), name
+    calls.clear()
+    kappa_hat(CORPUS["dual_f3"], 0, 20)
+
+
 # -- degenerate and empty cases --------------------------------------------------
 
 
@@ -162,7 +183,7 @@ def test_kappa_hat_dual_f5_m2_is_zero():
 
 
 def test_kappa_hat_builds_no_extension_boundary(monkeypatch):
-    # the p^n m = 6 cycles are checked and pushed by slot contraction; only
+    # the p^n m = 6 cycles are checked by slot contraction; only
     # HH_2(TA) needs boundary matrices, b_2 and b_3
     A = dual_numbers(F3)
     TA = trivial_extension(A).algebra
