@@ -424,10 +424,11 @@ def normalize_unit(field, labels, const):
     d = const.shape[0]
     if u[0] == 1 and not u[1:].any():
         return Algebra(field, labels, const)
-    # greedy completion of {unit} to a basis: the pivot columns of [u | I]
+    # greedy completion of {unit} to a basis: e_j lies in span(u, e_0..e_{j-1})
+    # iff u is supported on 0..j with u_j != 0, so only the last such j drops
     eye = np.eye(d, dtype=np.int64)
-    pivots = row_reduce(Matrix(field, np.hstack([u[:, None], eye]))).pivots
-    kept = [j - 1 for j in pivots[1:]]
+    last = np.flatnonzero(u)[-1]
+    kept = [j for j in range(d) if j != last]
     B = np.vstack([u, eye[kept]])  # rows: new basis in old coordinates
     to_new = row_reduce(Matrix(field, B.T)).solve(eye)  # row k: e_k in new coordinates
     prods = Algebra(field, labels, const).multiply(np.repeat(B, d, axis=0), np.tile(B, (d, 1)))

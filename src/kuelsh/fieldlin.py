@@ -10,13 +10,14 @@ buffers.  Row reduction works in place on one buffer in the narrowest of
 int16, int32 and int64 in which max(min(rows, cols), 1) (p-1)^2 + p fits
 (int16 over extension fields, whose entries are table indices below 512).
 Internal elimination consumes its buffer and keeps only the basis rows, as
-int64; `row_reduce` and `Subspace` reduce a copy.  A kernel is read off one
-right-to-left reduction, and the representatives of V/W are selected
-by pivot: V's basis rows at the pivots W lacks.  Over F_2 the elimination
-kernel packs each row into uint64 words and clears a pivot column with one
-vectorized XOR of the rows that hit it.  Over odd prime fields it updates
-only the columns right of the pivot and delays reduction mod p: each pivot
-reduces its column and its row, the trailing update has no `%`, and the
+int64; `row_reduce` and `Subspace` reduce a copy.  Each answer costs one
+elimination, and none where the RREF is known: a kernel is one right-to-left
+reduction, RREF, rank and solver share one of [M | I], V & W is one Zassenhaus
+reduction, V/W takes V's basis rows at the pivots W lacks.  Over F_2 the
+elimination kernel packs each row into uint64 words and clears a pivot column
+with one vectorized XOR of the rows that hit it.  Over odd prime fields it
+updates only the columns right of the pivot and delays reduction mod p: each
+pivot reduces its column and its row, the trailing update has no `%`, and the
 trailing block is reduced only after (max - p) // (p-1)^2 updates, max the
 largest value of the buffer's type: in the type chosen above never, in int64
 at p = 2^31 - 1 every second update.  Matrix products over an extension field
@@ -578,26 +579,36 @@ def _kernel(field, R):
 
 
 class RowReduction:
-    """RREF of a matrix plus rank, kernel and a linear solver."""
+    """A matrix M with its kernel, RREF, pivots, rank and a linear solver, at
+    one elimination per answer and none on construction: `kernel` reduces a
+    copy of M right to left on each read; `rref`, `pivots`, `rank` and `solve`
+    read one left-to-right reduction of [M | I], run on first use."""
 
     def __init__(self, matrix):
         if not isinstance(matrix, Matrix):
             raise TypeError("row_reduce expects a Matrix")
         self.matrix = matrix
-        R = _narrow_copy(matrix.field, matrix.data)
-        piv = _rref(matrix.field, R)
-        self.rref = Matrix(matrix.field, R)
-        self.pivots = tuple(piv)
-        self.rank = len(piv)
-        self._kernel = None
         self._transform = None
 
     @property
     def kernel(self):
-        if self._kernel is None:
-            F = self.matrix.field
-            self._kernel = _kernel(F, _narrow_copy(F, self.matrix.data))
-        return self._kernel
+        F = self.matrix.field
+        return _kernel(F, _narrow_copy(F, self.matrix.data))
+
+    def _reduce(self):
+        if self._transform is None:
+            F, m, n = self.matrix.field, self.matrix.rows, self.matrix.cols
+            R = _narrow_copy(F, np.hstack([self.matrix.data, np.eye(m, dtype=np.int64)]))
+            # pivots in the identity columns never touch the left block, so it
+            # is RREF(M); the right block T has T M = RREF(M)
+            self._pivots = tuple(q for q in _rref(F, R) if q < n)
+            self._rref = Matrix(F, R[:, :n])
+            self._transform = R[:, n:]
+        return self
+
+    rref = property(lambda self: self._reduce()._rref)
+    pivots = property(lambda self: self._reduce()._pivots)
+    rank = property(lambda self: len(self.pivots))
 
     def solve(self, b):
         """Some x with Mx = b, or None when b is not in the column space.
@@ -606,16 +617,11 @@ class RowReduction:
         when any row is outside the column space.
         """
         F = self.matrix.field
-        m, n = self.matrix.rows, self.matrix.cols
-        b = _as_rows(F, b, m)
-        if self._transform is None:
-            aug = np.hstack([self.matrix.data, np.eye(m, dtype=np.int64)])
-            _rref(F, aug)
-            self._transform = aug[:, n:]
-        y = F.mat_mul(b, self._transform.T)
+        b = _as_rows(F, b, self.matrix.rows)
+        y = F.mat_mul(b, self._reduce()._transform.T)
         if y[..., self.rank :].any():
             return None
-        x = np.zeros(b.shape[:-1] + (n,), dtype=np.int64)
+        x = np.zeros(b.shape[:-1] + (self.matrix.cols,), dtype=np.int64)
         x[..., list(self.pivots)] = y[..., : self.rank]
         return x
 
@@ -629,7 +635,8 @@ def row_reduce(matrix):
 
 
 class Subspace:
-    """Row space stored as a canonical RREF basis."""
+    """Row space stored as a canonical RREF basis; `rows` is None, a Matrix,
+    one vector of length ambient_dim or a (k, ambient_dim) block."""
 
     __slots__ = ("field", "ambient_dim", "basis", "pivots")
 
@@ -639,16 +646,10 @@ class Subspace:
         elif isinstance(rows, Matrix):
             data = rows.data
         else:
-            arr = _in_range(field, np.asarray(rows, dtype=np.int64))
-            if arr.size == 0:
-                data = arr.reshape(0, ambient_dim)
-            else:
-                data = arr.reshape(-1, ambient_dim)
-        if data.shape[1] != ambient_dim:
-            raise AmbientMismatch(
-                f"rows of width {data.shape[1]} in ambient of dim {ambient_dim}"
-            )
-        self._span(field, ambient_dim, _narrow_copy(field, data))
+            data = _in_range(field, np.asarray(rows, dtype=np.int64))
+        if data.ndim not in (1, 2) or data.shape[-1] != ambient_dim:
+            raise AmbientMismatch(f"rows of shape {data.shape} in ambient of dim {ambient_dim}")
+        self._span(field, ambient_dim, _narrow_copy(field, np.atleast_2d(data)))
 
     @classmethod
     def _of_buffer(cls, field, ambient_dim, R, pivots=None):
@@ -669,7 +670,7 @@ class Subspace:
 
     @classmethod
     def full(cls, field, n):
-        return cls(field, n, np.eye(n, dtype=np.int64))
+        return cls._of_buffer(field, n, np.eye(n, dtype=np.int64), range(n))
 
     @property
     def dim(self):
@@ -725,14 +726,16 @@ class Subspace:
         return Subspace(self.field, self.ambient_dim, stacked)
 
     def __and__(self, other):
+        """V & W by one Zassenhaus elimination of [[V, V], [W, 0]]: its RREF rows
+        with a pivot q >= n are zero on the left, and their right halves are the
+        RREF basis of V & W, with pivots q - n."""
         self._check_ambient(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace(self.field, self.ambient_dim)
-        lhs = self.basis.data.T
-        rhs = self.field.vneg(other.basis.data.T)
-        ker = row_reduce(Matrix(self.field, np.hstack([lhs, rhs]), copy=False)).kernel
-        vecs = self.field.mat_mul(ker.basis.data[:, : self.dim], self.basis.data)
-        return Subspace(self.field, self.ambient_dim, vecs)
+        F, n, V, W = self.field, self.ambient_dim, self.basis.data, other.basis.data
+        R = _narrow_copy(F, np.block([[V, V], [W, np.zeros_like(W)]]))
+        pivots = _rref(F, R)
+        k = sum(q < n for q in pivots)
+        meet = R[k : len(pivots), n:].astype(np.int64)
+        return Subspace._of_buffer(F, n, meet, [q - n for q in pivots[k:]])
 
     def quotient_basis(self, other):
         """Coset representatives of self/other; requires other <= self.  They
@@ -802,10 +805,9 @@ class SemilinearMap:
 
     def kernel(self):
         lin = row_reduce(self.matrix).kernel
-        if self.twist == 0 or lin.dim == 0:
-            return lin
+        # the Frobenius fixes 0 and 1: it keeps an RREF basis RREF, pivots and all
         shifted = self.field.vfrob(lin.basis.data, -self.twist)
-        return Subspace(self.field, self.matrix.cols, shifted)
+        return Subspace._of_buffer(self.field, self.matrix.cols, shifted, lin.pivots)
 
     def image(self):
         return Subspace(self.field, self.matrix.rows, self.matrix.data.T)

@@ -11,6 +11,7 @@ from kuelsh.algebra import (
     algebra_from_json,
     algebra_to_json,
     algebra_validate,
+    find_unit,
     identity_morphism,
     morphism_validate,
     normalize_unit,
@@ -28,6 +29,7 @@ from kuelsh.catalog import (
     upper_triangular,
 )
 from kuelsh.errors import DimensionMismatch, FieldMismatch
+from kuelsh import fieldlin
 from kuelsh.fieldlin import FiniteField, Matrix, row_reduce
 
 F2 = FiniteField(2)
@@ -565,6 +567,57 @@ def test_normalize_unit_rejects_unitless():
 
     with pytest.raises(KuelshError):
         normalize_unit(F2, ("x",), c)
+
+
+def ref_completion(F, u):
+    """The greedy completion of {u} to a basis by elimination: the pivot
+    columns of [u | I] past the first name the e_j kept."""
+    d = len(u)
+    aug = np.hstack([u[:, None], np.eye(d, dtype=np.int64)])
+    return [j - 1 for j in row_reduce(Matrix(F, aug)).pivots[1:]]
+
+
+def _rebased(A, P):
+    """Structure constants of A in the basis f_a = sum_b P[a, b] e_b."""
+    F, d = A.field, A.dim
+    to_new = row_reduce(Matrix(F, P.T)).solve(np.eye(d, dtype=np.int64))
+    prods = A.multiply(np.repeat(P, d, axis=0), np.tile(P, (d, 1)))
+    return F.mat_mul(prods, to_new).reshape(d, d, d)
+
+
+@pytest.mark.parametrize("F", [F2, F3, FiniteField(5), F4, F9, F_BIG], ids=repr)
+def test_unit_completion_matches_elimination_route(F):
+    # normalize_unit keeps every e_j but the last one u_j != 0; the kept
+    # labels are those the pivots of [u | I] name
+    rng = random.Random(F.q)
+    seen = 0
+    for A in (dual_numbers(F), truncated_polynomial(F, 3), upper_triangular(F, 2), full_matrix_algebra(F, 2)):
+        d = A.dim
+        for _ in range(8):
+            P = np.array([[rng.randrange(F.q) for _ in range(d)] for _ in range(d)], dtype=np.int64)
+            if row_reduce(Matrix(F, P)).rank < d:
+                continue
+            const = _rebased(A, P)
+            u = find_unit(F, const)
+            if u[0] == 1 and not u[1:].any():
+                continue
+            labels = [f"f{a}" for a in range(d)]
+            B = normalize_unit(F, labels, const)
+            assert B.labels == ("1", *(labels[j] for j in ref_completion(F, u)))
+            assert algebra_validate(B).ok and find_unit(F, B.const).tolist() == [1] + [0] * (d - 1)
+            seen += 1
+    assert seen >= 12
+
+
+def test_normalize_unit_makes_one_elimination_per_answer(monkeypatch):
+    # building UT2 over F3 normalizes the unit e11 + e22: one elimination
+    # finds it, one inverts the basis change, and the completion needs none
+    calls = []
+    real = fieldlin._rref
+    monkeypatch.setattr(fieldlin, "_rref", lambda F, R: calls.append(R.shape) or real(F, R))
+    A = upper_triangular(F3, 2)
+    assert len(calls) == 2
+    assert A.labels == ("1", "e11", "e12")
 
 
 def test_normalized_matrix_algebras_validate():

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kuelsh import fieldlin
 from kuelsh.algebra import BilinearForm
 from kuelsh.catalog import truncated_polynomial
 from kuelsh.errors import (
+    AmbientMismatch,
     DimensionMismatch,
     FieldMismatch,
     NonPrimeCharacteristic,
@@ -793,6 +795,138 @@ def test_kernel_and_quotient_match_elimination_routes(F):
                     assert Q.rows == V.dim - W.dim
 
 
+def ref_intersection(V, W):
+    """V & W by the kernel route: the kernel of [V^T | -W^T], its product with
+    V's basis, then reduced again into a Subspace."""
+    F, n = V.field, V.ambient_dim
+    ker = ref_kernel(F, np.hstack([V.basis.data.T, F.vneg(W.basis.data.T)]))
+    return Subspace(F, n, F.mat_mul(ker.basis.data[:, : V.dim], V.basis.data))
+
+
+def ref_solve(F, data, b):
+    """Mx = b by an int64 elimination of [M | I]: its right block T has
+    T M = RREF(M), so x is T b at the pivots, or None when T b is nonzero
+    past the rank."""
+    m, n = data.shape
+    aug = np.hstack([data, np.eye(m, dtype=np.int64)])
+    _rref(F, aug)
+    piv = ref_rref(F, data.tolist(), n)[1]
+    y = F.mat_mul(b, aug[:, n:].T)
+    if y[..., len(piv) :].any():
+        return None
+    x = np.zeros(b.shape[:-1] + (n,), dtype=np.int64)
+    x[..., piv] = y[..., : len(piv)]
+    return x
+
+
+ROUTE_FIELDS = [F2, F3, F5, F4, F9, FiniteField(2**31 - 1)]
+
+
+@pytest.mark.parametrize("F", ROUTE_FIELDS, ids=repr)
+def test_rref_and_solve_match_elimination_routes(F):
+    # rref, pivots, rank and solve read one [M | I] elimination; they match the
+    # reference RREF and the int64 [M | I] solver on solvable and unsolvable blocks
+    rng = random.Random(5 * F.q)
+    unsolvable = 0
+    for m, n in QUOTIENT_SHAPES:
+        for rank in sorted({0, min(m, n) // 2, min(m, n)}):
+            data = rand_rank(F, m, n, rank, rng)
+            red = row_reduce(Matrix(F, data))
+            R, piv = ref_rref(F, data.tolist(), n)
+            assert red.rref.data.dtype == np.int64 and red.rref.rows == m
+            assert red.rref.data.tolist() == np.array(R, dtype=np.int64).reshape(m, n).tolist()
+            assert red.pivots == tuple(piv) and red.rank == rank
+            solvable = F.mat_mul(rand_block(F, 3, n, rng), data.T)
+            for b in (solvable, solvable[:1], rand_block(F, 2, m, rng), rand_block(F, 1, m, rng)[0]):
+                x, ref = red.solve(b), ref_solve(F, data, b)
+                assert (x is None) == (ref is None)
+                unsolvable += x is None
+                if x is not None:
+                    assert x.tolist() == ref.tolist()
+                    assert F.mat_mul(x, data.T).tolist() == b.tolist()
+    assert unsolvable
+
+
+@pytest.mark.parametrize("F", ROUTE_FIELDS, ids=repr)
+def test_intersection_matches_kernel_route(F):
+    # one Zassenhaus elimination gives the RREF basis of the kernel route on
+    # zero-size and zero spaces, nested pairs, V & W = 0 and random pairs
+    rng = random.Random(9 * F.q)
+    for n in (0, 1, 4, 9, 20):
+        for _ in range(4):
+            frame = rand_rank(F, n, n, n, rng)  # a basis of F^n
+            a = rng.randrange(n + 1)
+            V = Subspace(F, n, frame[:a])
+            pairs = [
+                (Subspace(F, n), V),
+                (Subspace.full(F, n), V),
+                (V, V + Subspace(F, n, rand_block(F, 2, n, rng))),
+                (V, Subspace(F, n, frame[a : a + rng.randrange(n - a + 1)])),
+            ]
+            for k, r in ((rng.randrange(n + 1), rng.randrange(n + 1)) for _ in range(3)):
+                pairs.append((Subspace(F, n, rand_rank(F, k, n, min(k, r), rng)), V))
+            for X, Y in pairs:
+                for P, Q in ((X, Y), (Y, X)):
+                    meet, ref = P & Q, ref_intersection(P, Q)
+                    assert meet == ref and meet.pivots == ref.pivots
+                    assert meet.basis.data.dtype == np.int64 and meet.basis.data.base is None
+                    assert P.contains(meet) and Q.contains(meet)
+            assert (V & pairs[2][1]) == V
+            assert (V & pairs[3][1]).dim == 0
+
+
+@pytest.mark.parametrize("F", [F4, F8, F9], ids=repr)
+def test_twisted_kernel_matches_reelimination(F):
+    # phi^-s of the kernel's RREF basis, kept as it is, is the RREF basis the
+    # re-elimination of the twisted rows gives
+    rng = random.Random(17 * F.q)
+    for m, n in [(0, 0), (0, 4), (3, 0), (1, 1), (2, 5), (4, 9), (9, 4)]:
+        for rank in sorted({0, min(m, n) // 2, min(m, n)}):
+            data = rand_rank(F, m, n, rank, rng)
+            for s in range(F.r):
+                S = SemilinearMap(Matrix(F, data), s)
+                ker = S.kernel()
+                twisted = F.vfrob(ref_kernel(F, data).basis.data, -s)
+                ref = Subspace(F, n, twisted)
+                assert ker == ref and ker.pivots == ref.pivots and ker.dim == n - rank
+                assert all(not S.apply(v).any() for v in ker.basis.data)
+
+
+def test_each_answer_makes_one_elimination(monkeypatch):
+    # construction eliminates nothing, each answer once, known RREFs never
+    shapes = []
+    real = fieldlin._rref
+
+    def spy(F, R):
+        shapes.append(R.shape)
+        return real(F, R)
+
+    monkeypatch.setattr(fieldlin, "_rref", spy)
+
+    def count(f):
+        shapes.clear()
+        f()
+        return len(shapes)
+
+    M = Matrix(F3, [[1, 2, 0, 1], [0, 1, 1, 2], [1, 0, 2, 0]])
+    assert count(lambda: row_reduce(M)) == 0
+    assert count(lambda: row_reduce(M).kernel) == 1
+
+    def every_answer():
+        red = row_reduce(M)
+        return red.rank, red.solve([1, 1, 1]), red.pivots, red.rref
+
+    assert count(every_answer) == 1 and shapes == [(3, 7)]
+    V = Subspace(F3, 4, [[1, 0, 1, 0], [0, 1, 0, 1]])
+    W = Subspace(F3, 4, [[1, 1, 0, 0], [0, 0, 1, 1]])
+    assert count(lambda: V & W) == 1 and (V & W).dim == 1
+    S = SemilinearMap(Matrix(F4, [[1, 2, 3], [0, 1, 1]]), 1)
+    assert count(S.kernel) == 1
+    for F in (F3, F4, FiniteField(2**31 - 1)):
+        assert count(lambda: Subspace.full(F, 5)) == 0
+        assert count(lambda: Subspace.full(F, 0)) == 0
+
+
 @pytest.mark.parametrize("F", [F2, F3, F4, F9], ids=repr)
 def test_block_solve_matches_single_rows(F):
     rng = random.Random(11 * F.q)
@@ -848,6 +982,11 @@ def test_reduce_rejects_bad_shapes():
         for bad in ([1, 2], [[1, 2]], np.zeros((1, 1, 3), dtype=np.int64)):
             with pytest.raises(DimensionMismatch):
                 api(bad)
+    # the constructor takes one vector or a (k, 3) block, nothing reshaped
+    for bad in ([1, 2], [[1, 2]], np.zeros((1, 1, 3), dtype=np.int64), [1, 2, 0, 0, 1, 1]):
+        with pytest.raises(AmbientMismatch, match="shape"):
+            Subspace(F3, 3, bad)
+    assert Subspace(F3, 3, [1, 2, 0]) == Subspace(F3, 3, [[1, 2, 0]])
 
 
 def test_single_vector_apis_reject_blocks():
