@@ -25,6 +25,7 @@ from .fieldlin import (
     _in_range,
     _is_int,
     _power,
+    _rank,
     row_reduce,
 )
 
@@ -185,7 +186,7 @@ class BilinearForm:
         return np.array_equal(self.gram.data, self.gram.data.T)
 
     def is_nondegenerate(self):
-        return row_reduce(self.gram).rank == self.gram.rows
+        return _rank(self.gram) == self.gram.rows
 
     def is_associative(self, A):
         """<xy, z> == <x, yz> on all basis triples."""

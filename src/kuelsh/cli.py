@@ -28,7 +28,7 @@ from .errors import (
     NotSymmetric,
     ValidationFailure,
 )
-from .fieldlin import row_reduce
+from .fieldlin import _rank
 from .hochschild import chain_dim, cohomology, gram_matrix, homology
 from .kappa import kappa_compare_symmetric, kappa_hat
 
@@ -183,7 +183,7 @@ def cmd_hh(args):
         entry = {"degree": m, "hh_dim": homology(A, m).dimension}
         if lam is not None:
             entry["cohh_dim"] = cohomology(A, m).dimension
-            entry["gram_rank"] = row_reduce(gram_matrix(A, lam, m)).rank
+            entry["gram_rank"] = _rank(gram_matrix(A, lam, m))
         rows.append(entry)
     if args.format == "csv":
         cols = ["degree", "hh_dim"] + (

@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import BilinearForm, commutator_space, trivial_extension
 from .errors import DegenerateForm, DimensionMismatch, WellDefinednessViolation
-from .fieldlin import Matrix, SemilinearMap, Subspace, _power, preimage, row_reduce
+from .fieldlin import Matrix, SemilinearMap, Subspace, _power, _rank, preimage, row_reduce
 
 
 def center(A):
@@ -114,7 +114,7 @@ def kappa_n_direct(A, lam, n):
     """kappa_n on A/KA: <a^{p^n}, b> = <a, kappa(b)>^{p^n}; twist -n."""
     F = A.field
     form = BilinearForm.from_linear_form(A, lam)
-    if row_reduce(form.gram).rank != A.dim:
+    if _rank(form.gram) != A.dim:
         raise DegenerateForm("symmetrizing form has singular Gram matrix")
     Z = center(A)
     _, reps, _ = hh0_data(A)

@@ -12,8 +12,9 @@ int16, int32 and int64 in which max(min(rows, cols), 1) (p-1)^2 + p fits
 Internal elimination consumes its buffer and keeps only the basis rows, as
 int64; `row_reduce` and `Subspace` reduce a copy.  Each answer costs one
 elimination, and none where the RREF is known: a kernel is one right-to-left
-reduction, RREF, rank and solver share one of [M | I], V & W is one Zassenhaus
-reduction, V/W takes V's basis rows at the pivots W lacks.  Over F_2 the
+reduction, RREF, rank and solver share one of [M | I] and a lone rank one of
+M, V & W is one Zassenhaus reduction, V/W takes V's basis rows at the pivots
+W lacks.  Over F_2 the
 elimination kernel packs each row into uint64 words and clears a pivot column
 with one vectorized XOR of the rows that hit it.  Over odd prime fields it
 updates only the columns right of the pivot and delays reduction mod p: each
@@ -626,6 +627,11 @@ class RowReduction:
         return x
 
 
+def _rank(matrix):
+    """The rank of a Matrix, from one elimination of a narrow copy of it."""
+    return len(_rref(matrix.field, _narrow_copy(matrix.field, matrix.data)))
+
+
 def row_reduce(matrix):
     """The RREF of a copy of matrix; the matrix itself is left as it is."""
     return RowReduction(matrix)
@@ -641,9 +647,10 @@ class Subspace:
     __slots__ = ("field", "ambient_dim", "basis", "pivots")
 
     def __init__(self, field, ambient_dim, rows=None):
-        if rows is None:
-            data = np.zeros((0, ambient_dim), dtype=np.int64)
-        elif isinstance(rows, Matrix):
+        if rows is None:  # the zero space is its own RREF
+            self._span(field, ambient_dim, np.zeros((0, ambient_dim), dtype=np.int64), ())
+            return
+        if isinstance(rows, Matrix):
             data = rows.data
         else:
             data = _in_range(field, np.asarray(rows, dtype=np.int64))
@@ -744,7 +751,8 @@ class Subspace:
         self._check_ambient(other)
         if not self.contains(other):
             raise NotASubspace("quotient requires the second space inside the first")
-        keep = np.isin(self.pivots, other.pivots, invert=True)
+        lacking = set(other.pivots)
+        keep = [i for i, q in enumerate(self.pivots) if q not in lacking]
         return Matrix(self.field, self.basis.data[keep], copy=False)
 
     def quotient_map(self, other):
@@ -814,7 +822,7 @@ class SemilinearMap:
 
     @property
     def rank(self):
-        return row_reduce(self.matrix).rank
+        return _rank(self.matrix)
 
     def __eq__(self, other):
         return (

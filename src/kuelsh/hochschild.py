@@ -7,16 +7,27 @@ ordered lexicographically; the chain space has dimension d(d-1)^m.  Cochains
 of degree m are coefficient tensors of shape (d-1)^m x d encoding multilinear
 maps on the reduced algebra with values in A.
 
-The boundary and coboundary matrices are built only for elimination, term
-by term: each term of the differential is a product of two neighbouring
-slots, which `np.einsum` exposes as a writeable diagonal view of the zero
-matrix (the unchanged slots are repeated labels), and only the nonzero
-structure constants are added onto it.  They are the largest arrays the
-program allocates, so each is built when `homology` or `cohomology` needs it,
-directly in the narrowest integer type in which its elimination is exact (see
-`fieldlin`), and reduced in that buffer: the outgoing map in place and right
-to left, its kernel read off that form, the incoming one in a transposed copy.
-Representatives are selected by pivot, and only basis rows are kept.
+Homology is computed one weight block at a time.  Integer weights w of the
+basis with w_0 = 0 and w_k = w_i + w_j wherever c[i,j,k] != 0 (a free
+grading, found once per algebra by an exact integer nullspace and checked
+on every structure constant) give a chain (i_0, .., i_m) the weight
+sum w_{i_t} and a cochain (J, k) the weight w_k - sum w_J.  Every
+differential preserves it, so after sorting the indices by weight each is
+block diagonal.  `homology` and `cohomology` split the degree-m space into
+blocks, runs of weight classes no wider than the widest class, and build
+for each only the blocks of the outgoing and the incoming map on it, in the
+narrowest integer type in which its elimination is exact (see `fieldlin`),
+and reduce each in that buffer: the outgoing map in place and right to left,
+its kernel read off that form, the incoming one in a transposed copy.  A
+block with no rows or no columns is a zero map and is not eliminated.  Each
+term of a differential is a product of two neighbouring slots; its nonzero
+entries are found once for all blocks, by reading the slot digits off the
+column indices.  The blocks' RREFs have disjoint supports, so the global
+cycles, boundaries and representatives are their union sorted by pivot,
+written straight into place, and equal to the RREFs of the whole
+differentials.  An algebra with no nonzero weights (a dense basis) has one
+block, the whole differential.  `boundary_matrix` and `coboundary_matrix`
+build that whole case with the same code.
 
 Everything applied to given chains or cochains (boundary, chain maps,
 coboundary, cup product, pairing vector, Gram matrix) is slot contractions:
@@ -29,7 +40,6 @@ prime and extension fields alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -51,15 +61,103 @@ def cochain_dim(A, m):
     return (A.dim - 1) ** m * A.dim
 
 
-def _add_term(F, out, shape, spec, values, sign):
-    """Add sign * values onto the diagonal view np.einsum(spec, out.reshape(shape)).
+def _entries(cols, spec, sizes, values):
+    """The nonzero entries of one term of a differential in the columns
+    `cols`: (position in cols, row index, value), by position.
 
-    The view's leading axes are the identity labels and its last axes index
-    `values`; only nonzero values are written, and no two land on one entry.
+    spec is "COLS>ROWS:VALUES".  A column index is the mixed-radix number with
+    digits labelled COLS, a row index the one labelled ROWS, label a of size
+    sizes[a].  `values` has axes VALUES: first labels of COLS, read off each
+    column, then labels only ROWS has, which the term sums over.  A column
+    sends each nonzero value to the row made of its own digits on the labels
+    both share and the value's on the rest; no two land on one entry.
     """
-    view = np.einsum(spec, out.reshape(shape))
-    at = (Ellipsis, *np.nonzero(values))
-    view[at] = (F.vadd if sign > 0 else F.vsub)(view[at], values[at[1:]])
+    col_axes, row_axes, val_axes = spec.replace(">", ":").split(":")
+    digit = dict(zip(col_axes, np.unravel_index(cols, [sizes[a] for a in col_axes])))
+    key = [a for a in val_axes if a in digit]
+    new = val_axes[len(key) :]
+    vals = values[tuple(digit[a] for a in key)].reshape(len(cols), -1)
+    at, o = np.nonzero(vals)
+    digit = {a: digit[a][at] for a in row_axes if a in digit}
+    digit.update(zip(new, np.unravel_index(o, [sizes[a] for a in new])))
+    row = np.ravel_multi_index([digit[a] for a in row_axes], [sizes[a] for a in row_axes])
+    return at, row, vals[at, o]
+
+
+def _boundary_terms(A, m):
+    """The terms of the bar boundary b_m, m >= 1, for `_entries`."""
+    d, c, n = A.dim, A.const, A.dim - 1
+    rest = n ** (m - 1)
+    # (a_0 a_1) (x) a_2 .. a_m, the whole product
+    yield "xyr>tr:xyt", dict(x=d, y=n, r=rest, t=d), c[:, 1:], 1
+    # (-1)^i .. (x) a_i a_{i+1} (x) .., inner slots drop the unit component
+    for i in range(1, m):
+        sizes = dict(b=d * n ** (i - 1), x=n, y=n, p=n ** (m - i - 1), t=n)
+        yield "bxyp>btp:xyt", sizes, c[1:, 1:, 1:], (-1) ** i
+    # cyclic term: (-1)^m (a_m a_0) (x) a_1 .. a_{m-1}
+    yield "xjy>tj:yxt", dict(x=d, j=rest, y=n, t=d), c[1:], (-1) ** m
+
+
+def _coboundary_terms(A, m):
+    """The terms of the Hochschild coboundary delta_m, m >= 0, for `_entries`;
+    a cochain index is (J, k), the value's coordinate k at the arguments J."""
+    d, c, n = A.dim, A.const, A.dim - 1
+    # a_0 . f(a_1, .., a_m)
+    yield "jk>ajt:kat", dict(j=n**m, k=d, a=n, t=d), c[1:].transpose(1, 0, 2), 1
+    # (-1)^i f(.., a_{i-1} a_i, ..), reduced part of the product
+    for i in range(1, m + 1):
+        sizes = dict(b=n ** (i - 1), z=n, p=n ** (m - i), k=d, x=n, y=n)
+        yield "bzpk>bxypk:zxy", sizes, c[1:, 1:, 1:].transpose(2, 0, 1), (-1) ** i
+    # (-1)^(m+1) f(a_0, .., a_{m-1}) . a_m
+    yield "jk>jbt:kbt", dict(j=n**m, k=d, b=n, t=d), c[:, 1:], (-1) ** (m + 1)
+
+
+def _concat(blocks):
+    """The index arrays `blocks` laid end to end, each block's first position
+    there, and at each position the first position of its block."""
+    width = np.array([len(b) for b in blocks], dtype=np.int64)
+    first = np.cumsum(width) - width
+    return np.concatenate([np.zeros(0, np.int64), *blocks]), first, np.repeat(first, width)
+
+
+def _blocks(A, terms, m, rows, cols):
+    """The blocks on rows[b] x cols[b], pairs of ascending index arrays, of the
+    degree-m differential whose terms `terms(A, m)` yields, one at a time.
+
+    Every row that a column of cols[b] reaches must lie in rows[b]: the whole
+    index ranges, or the same weight classes on each side.  Each term's nonzero
+    entries are found once, for the columns of all blocks; each block is
+    allocated in the narrowest integer type in which its elimination is
+    exact when the generator reaches it, and filled term by term.
+    """
+    F = A.field
+    every, first, offset = _concat(cols)
+    flat, _, top = _concat(rows)
+    # index maps: a row index to its place in its block, a column's position
+    # in `every` to its place in its block
+    place = np.zeros(flat.max(initial=-1) + 1, dtype=np.int64)
+    place[flat] = np.arange(len(flat)) - top
+    parts = []
+    if len(every) and len(flat):
+        for spec, sizes, values, sign in terms(A, m):
+            at, row, vals = _entries(every, spec, sizes, values)
+            cut = np.append(np.searchsorted(at, first), len(at)).tolist()
+            parts.append((place[row], at - offset[at], vals, cut, F.vadd if sign > 0 else F.vsub))
+
+    def block(b, r, c):
+        out = _zeros(len(r), len(c), _elimination_dtype(F, len(r), len(c)))
+        for i, j, vals, cut, op in parts:
+            if cut[b] < cut[b + 1]:
+                span = slice(cut[b], cut[b + 1])
+                i, j = i[span], j[span]
+                out[i, j] = op(out[i, j], vals[span])
+        if b == len(cols) - 1:  # no entry is read again
+            parts.clear()
+        return Matrix._of_buffer(F, out)
+
+    # no local holds a block while the generator waits: its consumer owns it
+    for b, (r, c) in enumerate(zip(rows, cols)):
+        yield block(b, r, c)
 
 
 def _slot_mul(F, M, x, before, after):
@@ -70,14 +168,18 @@ def _slot_mul(F, M, x, before, after):
     return F.mat_mul(M, x).reshape(rows, before, after).transpose(1, 0, 2)
 
 
-def _zeros(rows, cols, dtype):
-    """A zero matrix of the integer type dtype.  A shape whose byte count numpy
-    cannot even represent is out of memory too, where np.zeros would raise
-    ValueError."""
+def _addressable(rows, cols, dtype):
+    """Raise MemoryError for a rows x cols array of dtype whose byte count
+    numpy cannot even represent, where numpy would raise ValueError."""
     dtype = np.dtype(dtype)
     if rows * cols * dtype.itemsize > np.iinfo(np.intp).max:
         raise MemoryError(f"cannot allocate a {rows} x {cols} {dtype} matrix")
-    return np.zeros((rows, cols), dtype=dtype)
+    return dtype
+
+
+def _zeros(rows, cols, dtype):
+    """A zero matrix of the integer type dtype, if addressable."""
+    return np.zeros((rows, cols), dtype=_addressable(rows, cols, dtype))
 
 
 def _disk_cache_path(A, kind, m):
@@ -87,25 +189,18 @@ def _disk_cache_path(A, kind, m):
     return None
 
 
+def _whole(A, terms, m, rows, cols):
+    """The whole rows x cols differential: `_blocks` on all indices, one block,
+    out of memory before any index array when numpy cannot address it."""
+    _addressable(rows, cols, _elimination_dtype(A.field, rows, cols))
+    return next(_blocks(A, terms, m, [np.arange(rows)], [np.arange(cols)]))
+
+
 def boundary_matrix(A, m):
     """The bar boundary from degree m to degree m-1 (m >= 1); b o b = 0."""
     if m < 1:
         raise ValueError("boundary needs m >= 1")
-    F, d, c = A.field, A.dim, A.const
-    n, rest = d - 1, (d - 1) ** (m - 1)
-    size = (chain_dim(A, m - 1), chain_dim(A, m))
-    out = _zeros(*size, _elimination_dtype(F, *size))
-    # (a_0 a_1) (x) a_2 .. a_m, the whole product
-    _add_term(F, out, (d, rest, d, n, rest), "trxyr->rtxy", c[:, 1:].transpose(2, 0, 1), 1)
-    # (-1)^i .. (x) a_i a_{i+1} (x) .., inner slots drop the unit component
-    inner = c[1:, 1:, 1:].transpose(2, 0, 1)
-    for i in range(1, m):
-        before, after = d * n ** (i - 1), n ** (m - i - 1)
-        shape = (before, n, after, before, n, n, after)
-        _add_term(F, out, shape, "btpbxyp->bptxy", inner, (-1) ** i)
-    # cyclic term: (-1)^m (a_m a_0) (x) a_1 .. a_{m-1}
-    _add_term(F, out, (d, rest, d, rest, n), "tjxjy->jtxy", c[1:].transpose(2, 1, 0), (-1) ** m)
-    return Matrix._of_buffer(F, out)
+    return _whole(A, _boundary_terms, m, chain_dim(A, m - 1), chain_dim(A, m))
 
 
 def boundary_apply(A, m, X):
@@ -134,21 +229,7 @@ def coboundary_matrix(A, m):
     """The Hochschild coboundary from degree-m to degree-(m+1) cochains."""
     if m < 0:
         raise ValueError("coboundary needs m >= 0")
-    F, d, c = A.field, A.dim, A.const
-    n, rows = d - 1, (d - 1) ** m
-    size = (cochain_dim(A, m + 1), cochain_dim(A, m))
-    out = _zeros(*size, _elimination_dtype(F, *size))
-    # a_0 . f(a_1, .., a_m)
-    _add_term(F, out, (n, rows, d, rows, d), "ajtjk->jatk", c[1:].transpose(0, 2, 1), 1)
-    # (-1)^i f(.., a_{i-1} a_i, ..), reduced part of the product
-    for i in range(1, m + 1):
-        before, after = n ** (i - 1), n ** (m - i)
-        shape = (before, n, n, after, d, before, n, after, d)
-        _add_term(F, out, shape, "bxypkbzpk->bpkxyz", c[1:, 1:, 1:], (-1) ** i)
-    # (-1)^(m+1) f(a_0, .., a_{m-1}) . a_m
-    shape = (rows, n, d, rows, d)
-    _add_term(F, out, shape, "jbtjk->jbtk", c[:, 1:].transpose(1, 2, 0), (-1) ** (m + 1))
-    return Matrix._of_buffer(F, out)
+    return _whole(A, _coboundary_terms, m, cochain_dim(A, m + 1), cochain_dim(A, m))
 
 
 # -- cochains and cup products ------------------------------------------------
@@ -260,32 +341,177 @@ class HomologyBasis:
         return coords
 
 
-def _homology_basis(F, m, n, outgoing, incoming):
-    """Degree-m homology on an n-dimensional space: cycles are the kernel of
-    outgoing(), boundaries the row space of incoming() transposed, built in
-    that order (None is a zero map) and each reduced to its basis rows before
-    the next is built, representatives the quotient basis."""
-    if outgoing is None:
-        cycles = Subspace.full(F, n)
-    else:
-        R = outgoing().data  # nothing else holds the matrix: reduce in place
-        R.setflags(write=True)
-        cycles = _kernel(F, R)
-    if incoming is None:
-        boundaries = Subspace(F, n)
-    else:
-        boundaries = Subspace._of_buffer(F, n, incoming().data.T.copy())
-    reps = cycles.quotient_basis(boundaries)
-    return HomologyBasis(m, reps.data, cycles, boundaries)
+def _assemble(n, parts):
+    """One int64 RREF basis in F^n from RREF blocks (idx, rows, pivots) on
+    disjoint ascending coordinate sets idx: each block's rows are written in
+    place at their global pivots idx[pivots], in ascending order, and dropped
+    from `parts` once written.  Returns the basis and its pivots; one block
+    on all n coordinates is that already."""
+    if len(parts) == 1 and len(parts[0][0]) == n:
+        _, rows, p = parts.pop()
+        return rows, list(p)
+    pivots = np.sort(np.concatenate([np.zeros(0, np.int64)] + [idx[p] for idx, _, p in parts]))
+    out = np.zeros((len(pivots), n), dtype=np.int64)
+    while parts:
+        idx, rows, p = parts.pop()
+        out[np.searchsorted(pivots, idx[p])[:, None], idx] = rows
+    return out, pivots.tolist()
+
+
+def _cycles(F, k, maps):
+    """The kernel in F^k of the next map `maps` yields (None, or a matrix with
+    no rows, is a zero map), from one right-to-left elimination in its own
+    buffer."""
+    R = None if maps is None else next(maps).data
+    if R is None or not R.size:
+        return Subspace.full(F, k)
+    R.setflags(write=True)  # nothing else holds the matrix: reduce in place
+    return _kernel(F, R)
+
+
+def _boundaries(F, k, maps):
+    """The image in F^k of the next map `maps` yields (None, or a matrix with
+    no columns, is a zero map), from one elimination of its transpose."""
+    B = None if maps is None else next(maps).data
+    if B is None or not B.size:
+        return Subspace(F, k)
+    B = B.T.copy()  # only the copy is reduced: the map itself goes now
+    return Subspace._of_buffer(F, k, B)
+
+
+def _homology_basis(F, m, n, blocks, outgoing, incoming):
+    """Degree-m homology on an n-dimensional space, one block at a time.
+
+    `blocks` are ascending index arrays that no differential connects to one
+    another; `outgoing` and `incoming` yield the maps leaving and entering
+    each, restricted to it, and are read in that order (None is a zero map).
+    A block's cycles are the kernel of the first, its boundaries the row
+    space of the second transposed, its representatives the quotient basis,
+    each reduced to basis rows before the next map is built.  The blocks'
+    RREFs have disjoint supports, so the global ones are their union sorted
+    by pivot.
+    """
+    cyc, bnd, rep = [], [], []
+    for idx in blocks:
+        cycles = _cycles(F, len(idx), outgoing)
+        boundaries = _boundaries(F, len(idx), incoming)
+        reps = cycles.quotient_basis(boundaries).data
+        cyc.append((idx, cycles.basis.data, list(cycles.pivots)))
+        bnd.append((idx, boundaries.basis.data, list(boundaries.pivots)))
+        rep.append((idx, reps, (reps != 0).argmax(axis=1)))
+    cycles, boundaries = (Subspace._of_buffer(F, n, *_assemble(n, p)) for p in (cyc, bnd))
+    reps = _assemble(n, rep)[0]
+    reps.setflags(write=False)
+    return HomologyBasis(m, reps, cycles, boundaries)
+
+
+def _grading(A):
+    """Integer weights of A's basis, d tuples of g ints: a basis of all w with
+    w_0 = 0 and w_k = w_i + w_j wherever c[i, j, k] != 0.  Every differential
+    preserves the total weight of a chain or cochain.
+
+    Computed once per algebra and exactly: the rational kernel of the
+    constraint matrix M is that of the d x d integer matrix M^T M, reduced
+    here in Python integers.  The weights are checked on every nonzero
+    structure constant; g = 0, one weight class, when there are no nonzero
+    weights or the check fails.
+    """
+    if "grading" not in A._cache:
+        import math
+
+        d, (i, j, k) = A.dim, np.nonzero(A.const)
+        eye = np.eye(d, dtype=np.int64)
+        M = np.vstack([eye[k] - eye[i] - eye[j], eye[:1]])
+        rows, pivots = (M.T @ M).tolist(), []
+        for q in range(d):  # Gauss-Jordan without fractions
+            r = next((r for r in range(len(pivots), d) if rows[r][q]), None)
+            if r is not None:
+                rows[r], rows[len(pivots)] = rows[len(pivots)], rows[r]
+                piv = rows[len(pivots)]
+                for t, row in enumerate(rows):
+                    if row is not piv and row[q]:
+                        row = [piv[q] * x - row[q] * y for x, y in zip(row, piv)]
+                        g = math.gcd(*row) or 1
+                        rows[t] = [x // g for x in row]
+                pivots.append(q)
+        # one kernel vector per free coordinate f, integral after scaling
+        scale, kernel = math.lcm(*(rows[t][q] for t, q in enumerate(pivots))), []
+        for f in sorted(set(range(d)) - set(pivots)):
+            w = [scale * (q == f) for q in range(d)]
+            for t, q in enumerate(pivots):
+                w[q] = -rows[t][f] * scale // rows[t][q]
+            g = math.gcd(*w)
+            kernel.append([x // g for x in w])
+        W = list(zip(*kernel)) or [()] * d
+        sums = (W[c] == tuple(map(sum, zip(W[a], W[b]))) for a, b, c in zip(i, j, k))
+        valid = not any(W[0]) and all(sums)
+        A._cache["grading"] = W if valid else [()] * d
+    return A._cache["grading"]
+
+
+def _weight_classes(A, top, cochains):
+    """The weight classes of A's chains, or cochains, as a function of the
+    degree: {key: ascending indices}, one entry per class in degrees <= top.
+
+    A chain (i_0, .., i_m) weighs sum w_{i_t}, a cochain (J, k) w_k - sum
+    w_J.  Its key is the weight read in base `base`, which separates every
+    weight of those degrees; it is additive, so every differential maps a
+    class into the class of the same key, even where int64 sums wrap.
+    """
+    W = _grading(A)
+    base = 2 * (top + 1) * max((abs(x) for w in W for x in w), default=0) + 1
+    u = [sum(x * base**c for c, x in enumerate(w)) % 2**64 for w in W]
+    u = np.array(u, dtype=np.uint64).view(np.int64)
+
+    def classes(m):
+        _addressable(chain_dim(A, m), 1, np.int64)
+        keys = np.zeros(1, np.int64) if cochains else u
+        for _ in range(m):
+            keys = np.add.outer(keys, -u[1:] if cochains else u[1:]).ravel()
+        if cochains:
+            keys = np.add.outer(keys, u).ravel()
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1)).tolist()
+        ends = first[1:] + [len(keys)]
+        return {w: order[a:b] for w, a, b in zip(keys[first].tolist(), first, ends)}
+
+    return classes
+
+
+def _graded_homology(A, m, n, terms, step):
+    """`_homology_basis` in degree m on weight blocks, and the differentials
+    `terms` leaving them (to degree m + step) and entering them (from degree
+    m - step) restricted to each.  A block is a run of consecutive weight
+    classes, as long as it stays no wider than the widest class: any union
+    of classes is one for the differentials, and fewer blocks cost fewer
+    calls."""
+    classes = _weight_classes(A, m + 1, step > 0)
+    here = classes(m)
+    runs, widest = [], max(map(len, here.values()), default=0)
+    width = widest
+    for w, idx in here.items():
+        if width + len(idx) > widest:
+            runs.append([])
+            width = 0
+        runs[-1].append(w)
+        width += len(idx)
+    none = np.zeros(0, np.int64)
+
+    def union(there):
+        return [np.sort(np.concatenate([none, *(there[w] for w in r if w in there)])) for r in runs]
+
+    blocks = union(here)
+    outgoing = _blocks(A, terms, m, union(classes(m + step)), blocks) if m + step >= 0 else None
+    incoming = _blocks(A, terms, m - step, blocks, union(classes(m - step))) if m - step >= 0 else None
+    return _homology_basis(A.field, m, n, blocks, outgoing, incoming)
 
 
 def homology(A, m):
     """HH_m via the normalized bar complex, with canonical representatives."""
     key = ("homology", m)
     if key not in A._cache:
-        outgoing = partial(boundary_matrix, A, m) if m else None
-        incoming = partial(boundary_matrix, A, m + 1)
-        A._cache[key] = _homology_basis(A.field, m, chain_dim(A, m), outgoing, incoming)
+        A._cache[key] = _graded_homology(A, m, chain_dim(A, m), _boundary_terms, -1)
     return A._cache[key]
 
 
@@ -293,9 +519,7 @@ def cohomology(A, m):
     """HH^m via normalized cochains, with canonical representatives."""
     key = ("cohomology", m)
     if key not in A._cache:
-        outgoing = partial(coboundary_matrix, A, m)
-        incoming = partial(coboundary_matrix, A, m - 1) if m else None
-        A._cache[key] = _homology_basis(A.field, m, cochain_dim(A, m), outgoing, incoming)
+        A._cache[key] = _graded_homology(A, m, cochain_dim(A, m), _coboundary_terms, 1)
     return A._cache[key]
 
 

@@ -1,5 +1,8 @@
+import contextlib
 import functools
+import io
 import itertools
+import os
 import random
 
 import numpy as np
@@ -925,6 +928,34 @@ def test_each_answer_makes_one_elimination(monkeypatch):
     for F in (F3, F4, FiniteField(2**31 - 1)):
         assert count(lambda: Subspace.full(F, 5)) == 0
         assert count(lambda: Subspace.full(F, 0)) == 0
+
+
+def test_rank_reads_eliminate_only_the_matrix(monkeypatch):
+    # a caller that reads only a rank reduces one m x n copy of M, not [M | I]
+    import kuelsh.cli
+    from kuelsh.catalog import dual_numbers
+    from kuelsh.degree0 import kappa_n_direct
+
+    calls = []
+    real, gram = fieldlin._rref, kuelsh.cli.gram_matrix
+    monkeypatch.setattr(fieldlin, "_rref", lambda F, R: calls.append(R.shape) or real(F, R))
+    monkeypatch.setattr(
+        kuelsh.cli, "gram_matrix", lambda *a: calls.append("gram") or gram(*a)
+    )
+    assert SemilinearMap(Matrix(F4, [[1, 2, 3], [0, 1, 1]]), 1).rank == 2
+    assert calls == [(2, 3)]
+    A = dual_numbers(F3)
+    form = BilinearForm.from_linear_form(A, [0, 1])
+    calls.clear()
+    assert form.is_nondegenerate() and calls == [(2, 2)]
+    calls.clear()
+    kappa_n_direct(A, [0, 1], 1)
+    assert calls[0] == (2, 2)
+    path = os.path.join(os.path.dirname(__file__), "..", "corpus", "dual_f3.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert kuelsh.cli.main(["hh", path, "--max-degree", "2"]) == 0
+    after = [calls[i + 1] for i, c in enumerate(calls) if c == "gram"]
+    assert len(after) == 3 and all(shape[0] == shape[1] for shape in after)
 
 
 @pytest.mark.parametrize("F", [F2, F3, F4, F9], ids=repr)

@@ -184,16 +184,23 @@ def test_kappa_hat_dual_f5_m2_is_zero():
 
 def test_kappa_hat_builds_no_extension_boundary(monkeypatch):
     # the p^n m = 6 cycles are checked by slot contraction; only
-    # HH_2(TA) needs boundary matrices, b_2 and b_3
+    # HH_2(TA) needs boundary matrices, b_2 and b_3, whole or in blocks
     A = dual_numbers(F3)
     TA = trivial_extension(A).algebra
     built = []
+    blocks = hochschild._blocks
 
     def spy(B, m):
         built.append((B is TA, m))
         return boundary_matrix(B, m)
 
+    def spy_blocks(B, terms, m, rows, cols):
+        if terms is hochschild._boundary_terms:
+            built.append((B is TA, m))
+        return blocks(B, terms, m, rows, cols)
+
     monkeypatch.setattr(hochschild, "boundary_matrix", spy)
+    monkeypatch.setattr(hochschild, "_blocks", spy_blocks)
     monkeypatch.setattr(kuelsh.kappa, "boundary_matrix", spy, raising=False)
     kappa_hat(A, 2, 1)
     assert max(m for on_ta, m in built if on_ta) == 3

@@ -8,8 +8,8 @@ Runs the same `kuelsh` commands from this checkout's `src/` and from
 * every job of the benchmark's workloads (`bench/workloads.py`), on inputs
   written once by `bench/inputs.write_inputs` for seeds 1 and 2;
 * `validate`, `degree0 --n 1`, `degree0 --n 3`, `hh --max-degree 3`,
-  `kappa --m 1 --n 1`, `kappa --m 1 --n 1 --hat` and `kappa --m 0 --n 2 --hat`
-  on every `corpus/*.json` of this checkout.
+  `hh --max-degree 4 --force`, `kappa --m 1 --n 1`, `kappa --m 1 --n 1 --hat`
+  and `kappa --m 0 --n 2 --hat` on every `corpus/*.json` of this checkout.
 
 Each child runs with one BLAS thread under a 3 GB RLIMIT_AS, set on the child
 only.  Prints each differing run, then `N runs, D differ`, and exits 1 when
@@ -32,6 +32,7 @@ CORPUS_COMMANDS = (
     ("degree0", "--n", "1"),
     ("degree0", "--n", "3"),
     ("hh", "--max-degree", "3"),
+    ("hh", "--max-degree", "4", "--force"),
     ("kappa", "--m", "1", "--n", "1"),
     ("kappa", "--m", "1", "--n", "1", "--hat"),
     ("kappa", "--m", "0", "--n", "2", "--hat"),
