@@ -29,28 +29,25 @@ differentials.  An algebra with no nonzero weights (a dense basis) has one
 block, the whole differential.  `boundary_matrix` and `coboundary_matrix`
 build that whole case with the same code.
 
-Everything applied to given chains or cochains (boundary, chain maps,
-coboundary, cup product, pairing vector, Gram matrix) is slot contractions:
-the block is reshaped so that the slot being multiplied is one matrix axis,
-contracted with the structure constants in one `FiniteField.mat_mul`, and
-reshaped back.  Each operation is a fixed number of such products, exact over
-prime and extension fields alike.
+The boundary b and the coboundary delta are defined once, by the terms
+`_boundary_terms` and `_coboundary_terms` yield: `_entries` evaluates them
+as matrix blocks, `_apply` on a block of rows, one `FiniteField.mat_mul` per
+term.  Chain maps, cup products, pairing vectors and Gram matrices are slot
+contractions: the block is reshaped so that the slot being multiplied is one
+matrix axis, contracted with the structure constants in one mat_mul, and
+reshaped back.  All of it is exact over prime and extension fields alike.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import BilinearForm
-from .errors import (
-    AlgebraMismatch,
-    NotACocycle,
-    NotACycle,
-    NotUnital,
-)
-from .fieldlin import Matrix, Subspace, _as_rows, _elimination_dtype, _kernel, _power
+from .errors import AlgebraMismatch, DimensionMismatch, NotACocycle, NotACycle, NotUnital
+from .fieldlin import Matrix, Subspace, _as_rows, _elimination_dtype, _in_range, _kernel, _power
 
 
 def chain_dim(A, m):
@@ -61,22 +58,28 @@ def cochain_dim(A, m):
     return (A.dim - 1) ** m * A.dim
 
 
-def _entries(cols, spec, sizes, values):
-    """The nonzero entries of one term of a differential in the columns
-    `cols`: (position in cols, row index, value), by position.
+def _labels(spec):
+    """A term spec "COLS>ROWS:VALUES" as COLS, ROWS, the labels of COLS that
+    the values read and the labels they add.
 
-    spec is "COLS>ROWS:VALUES".  A column index is the mixed-radix number with
-    digits labelled COLS, a row index the one labelled ROWS, label a of size
-    sizes[a].  `values` has axes VALUES: first labels of COLS, read off each
-    column, then labels only ROWS has, which the term sums over.  A column
-    sends each nonzero value to the row made of its own digits on the labels
-    both share and the value's on the rest; no two land on one entry.
+    A column index is the mixed-radix number with digits labelled COLS, a row
+    index the one labelled ROWS.  The term's values have axes VALUES: first
+    labels of COLS, which the term sums over, then labels only ROWS has.  A
+    column sends each value to the row made of its own digits on the labels
+    both share and the value's on the rest.
     """
     col_axes, row_axes, val_axes = spec.replace(">", ":").split(":")
+    key = [a for a in val_axes if a in col_axes]
+    return col_axes, row_axes, key, list(val_axes[len(key) :])
+
+
+def _entries(cols, spec, sizes, values):
+    """The nonzero entries of one term (see `_labels`; label a has size
+    sizes[a]) of a differential in the columns `cols`: (position in cols, row
+    index, value), by position; no two land on one entry."""
+    col_axes, row_axes, key, new = _labels(spec)
     digit = dict(zip(col_axes, np.unravel_index(cols, [sizes[a] for a in col_axes])))
-    key = [a for a in val_axes if a in digit]
-    new = val_axes[len(key) :]
-    vals = values[tuple(digit[a] for a in key)].reshape(len(cols), -1)
+    vals = values[tuple(digit[a] for a in key)].reshape(len(cols), math.prod(sizes[a] for a in new))
     at, o = np.nonzero(vals)
     digit = {a: digit[a][at] for a in row_axes if a in digit}
     digit.update(zip(new, np.unravel_index(o, [sizes[a] for a in new])))
@@ -84,8 +87,27 @@ def _entries(cols, spec, sizes, values):
     return at, row, vals[at, o]
 
 
+def _apply(F, terms, X):
+    """X @ D.T for a (k, cols) block X and the differential D whose terms
+    (see `_labels`) `terms` yields: per term, the digits of X's columns that
+    the values read are moved last, contracted with the values in one
+    mat_mul, and the product's digits put in row order."""
+    k, acc = len(X), 0  # the scalar 0 broadcasts in vadd and vsub
+    for spec, sizes, values, sign in terms:
+        col_axes, row_axes, key, new = _labels(spec)
+        keep = [a for a in col_axes if a not in key]
+        width, inner, outer = (math.prod(sizes[a] for a in axes) for axes in (keep, key, new))
+        x = X.reshape(k, *(sizes[a] for a in col_axes))
+        x = x.transpose(0, *(1 + col_axes.index(a) for a in keep + key)).reshape(k * width, inner)
+        y = F.mat_mul(x, values.reshape(inner, outer)).reshape(k, *(sizes[a] for a in keep + new))
+        y = y.transpose(0, *(1 + (keep + new).index(a) for a in row_axes))
+        y = y.reshape(k, math.prod(sizes[a] for a in row_axes))
+        acc = F.vadd(acc, y) if sign > 0 else F.vsub(acc, y)
+    return acc
+
+
 def _boundary_terms(A, m):
-    """The terms of the bar boundary b_m, m >= 1, for `_entries`."""
+    """The terms of the bar boundary b_m, m >= 1, for `_entries` and `_apply`."""
     d, c, n = A.dim, A.const, A.dim - 1
     rest = n ** (m - 1)
     # (a_0 a_1) (x) a_2 .. a_m, the whole product
@@ -99,8 +121,9 @@ def _boundary_terms(A, m):
 
 
 def _coboundary_terms(A, m):
-    """The terms of the Hochschild coboundary delta_m, m >= 0, for `_entries`;
-    a cochain index is (J, k), the value's coordinate k at the arguments J."""
+    """The terms of the Hochschild coboundary delta_m, m >= 0, for `_entries`
+    and `_apply`; a cochain index is (J, k), the value's coordinate k at the
+    arguments J."""
     d, c, n = A.dim, A.const, A.dim - 1
     # a_0 . f(a_1, .., a_m)
     yield "jk>ajt:kat", dict(j=n**m, k=d, a=n, t=d), c[1:].transpose(1, 0, 2), 1
@@ -205,24 +228,10 @@ def boundary_matrix(A, m):
 
 def boundary_apply(A, m, X):
     """The bar boundary of each row of a (k, chain_dim(A, m)) block, m >= 1:
-    X @ boundary_matrix(A, m).T as m + 1 slot contractions."""
+    X @ boundary_matrix(A, m).T, one mat_mul per term."""
     if m < 1:
         raise ValueError("boundary needs m >= 1")
-    F, d, c = A.field, A.dim, A.const
-    X = _as_rows(F, X, chain_dim(A, m), ndim=2)
-    n, k, rest = d - 1, len(X), (d - 1) ** (m - 1)
-    shape = (k, chain_dim(A, m - 1))
-    # (a_0 a_1) (x) a_2 .. a_m, the whole product
-    acc = _slot_mul(F, c[:, 1:].reshape(d * n, d).T, X, k, rest).reshape(shape)
-    # (-1)^i .. (x) a_i a_{i+1} (x) .., inner slots drop the unit component
-    inner = c[1:, 1:, 1:].reshape(n * n, n).T
-    for i in range(1, m):
-        term = _slot_mul(F, inner, X, k * d * n ** (i - 1), n ** (m - i - 1)).reshape(shape)
-        acc = F.vsub(acc, term) if i % 2 else F.vadd(acc, term)
-    # cyclic term: (-1)^m (a_m a_0) (x) a_1 .. a_{m-1}
-    x = X.reshape(k, d, rest, n).transpose(0, 3, 1, 2)
-    term = _slot_mul(F, c[1:].reshape(n * d, d).T, x, k, rest).reshape(shape)
-    return F.vsub(acc, term) if m % 2 else F.vadd(acc, term)
+    return _apply(A.field, _boundary_terms(A, m), _as_rows(A.field, X, chain_dim(A, m), ndim=2))
 
 
 def coboundary_matrix(A, m):
@@ -241,16 +250,16 @@ class Cochain:
     __slots__ = ("algebra", "degree", "coeffs")
 
     def __init__(self, algebra, degree, coeffs):
-        coeffs = np.asarray(coeffs, dtype=np.int64).reshape(
-            (algebra.dim - 1) ** degree, algebra.dim
-        )
+        coeffs = _in_range(algebra.field, np.asarray(coeffs, dtype=np.int64))
+        if coeffs.size != cochain_dim(algebra, degree):
+            raise DimensionMismatch(f"degree-{degree} cochain coefficients of shape {coeffs.shape}")
         self.algebra = algebra
         self.degree = degree
-        self.coeffs = coeffs
+        self.coeffs = coeffs.reshape((algebra.dim - 1) ** degree, algebra.dim)
 
     @classmethod
     def from_flat(cls, algebra, degree, flat):
-        return cls(algebra, degree, np.asarray(flat, dtype=np.int64))
+        return cls(algebra, degree, flat)
 
     @classmethod
     def unit(cls, algebra):
@@ -288,27 +297,13 @@ def cup_power(f, e):
 
 
 def coboundary_apply(f):
-    """Apply the coboundary to one cochain directly (no matrix build).
+    """The coboundary of one cochain, without building coboundary_matrix.
 
     (df)(a_0, .., a_m) = a_0 f(a_1, ..) + sum_i (-1)^i f(.., a_{i-1} a_i, ..)
-    + (-1)^(m+1) f(a_0, .., a_{m-1}) a_m, one contraction per term.
+    + (-1)^(m+1) f(a_0, .., a_{m-1}) a_m, one mat_mul per term.
     """
-    A = f.algebra
-    F, d, c = A.field, A.dim, A.const
-    m, n, fc = f.degree, A.dim - 1, f.coeffs
-    rows = n**m
-    # a_0 . f(J'): [J', a, k] reordered to [a, J', k]
-    left = F.mat_mul(fc, c[1:].transpose(1, 0, 2).reshape(d, n * d))
-    acc = left.reshape(rows, n, d).transpose(1, 0, 2).reshape(n * rows, d)
-    # reduced part of a_{i-1} a_i, as rows (x, y) and columns t
-    prod = c[1:, 1:, 1:].reshape(n * n, n)
-    for i in range(1, m + 1):
-        term = _slot_mul(F, prod, fc, n ** (i - 1), n ** (m - i) * d).reshape(n * rows, d)
-        acc = F.vsub(acc, term) if i % 2 else F.vadd(acc, term)
-    # f(J') . a_m: [J', b, k] is already in row order
-    right = F.mat_mul(fc, c[:, 1:].reshape(d, n * d)).reshape(n * rows, d)
-    acc = F.vsub(acc, right) if (m + 1) % 2 else F.vadd(acc, right)
-    return Cochain(A, m + 1, acc)
+    A, m = f.algebra, f.degree
+    return Cochain(A, m + 1, _apply(A.field, _coboundary_terms(A, m), f.flat()[None])[0])
 
 
 # -- homology -------------------------------------------------------------------
@@ -417,8 +412,6 @@ def _grading(A):
     weights or the check fails.
     """
     if "grading" not in A._cache:
-        import math
-
         d, (i, j, k) = A.dim, np.nonzero(A.const)
         eye = np.eye(d, dtype=np.int64)
         M = np.vstack([eye[k] - eye[i] - eye[j], eye[:1]])

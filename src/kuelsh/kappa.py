@@ -24,11 +24,11 @@ from .algebra import identity_morphism, trivial_extension
 from .errors import DegenerateForm, NotACocycle, NotACycle
 from .fieldlin import Matrix, SemilinearMap, _as_rows, _power, row_reduce
 from .hochschild import (
-    Cochain,
+    _apply,
+    _coboundary_terms,
     _slot_mul,
     boundary_apply,
     chain_dim,
-    coboundary_apply,
     cohomology,
     gram_matrix,
     hh_of_map,
@@ -103,7 +103,7 @@ def _kappa_on_cycles(T, lam, m, n, cycles, theta=None):
     gred = row_reduce(gram_matrix(T, lam, m))
     if gred.rank != coh.dimension:
         raise DegenerateForm(f"degree-{m} duality Gram matrix is singular")
-    if not all(coboundary_apply(Cochain.from_flat(T, m, z)).is_zero() for z in coh.representatives):
+    if _apply(F, _coboundary_terms(T, m), coh.representatives).any():
         raise NotACocycle("cohomology representative failed to be a cocycle")
     X = _as_rows(F, cycles, chain_dim(A, e * m), ndim=2)
     if e * m >= 1 and boundary_apply(A, e * m, X).any():

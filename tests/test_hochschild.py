@@ -27,7 +27,7 @@ from kuelsh.catalog import (
 )
 from kuelsh import fieldlin, hochschild
 from kuelsh.degree0 import center, commutator_space, hh0_data
-from kuelsh.errors import DimensionMismatch, NotACocycle, NotACycle, NotUnital
+from kuelsh.errors import DimensionMismatch, FieldMismatch, NotACocycle, NotACycle, NotUnital
 from kuelsh.fieldlin import FiniteField, Matrix, Subspace, row_reduce
 from kuelsh.hochschild import (
     Cochain,
@@ -584,6 +584,18 @@ def test_hh_of_map_matches_rep_by_rep():
 # -- cup products -----------------------------------------------------------------
 
 
+def test_cochain_checks_its_coefficients():
+    A, B = dual_numbers(F4), dual_numbers(F3)
+    # an extension-field index out of range names no element
+    for bad in ([-1, 0], [7, 0]):
+        with pytest.raises(FieldMismatch):
+            cup_product(Cochain(A, 0, bad), Cochain.unit(A))
+    # prime-field coefficients are reduced mod p
+    assert Cochain(B, 0, [-1, 0]) == Cochain(B, 0, [2, 0])
+    with pytest.raises(DimensionMismatch):
+        Cochain(A, 1, [1, 2, 3])
+
+
 def test_cup_with_unit_cocycle():
     A = dual_numbers(F3)
     one = Cochain.unit(A)
@@ -640,23 +652,6 @@ def test_leibniz_rule_random_cochains():
             sign = 1 if mf % 2 == 0 else A.field.neg(1)
             rhs = A.field.vadd(t1, A.field.vmul(sign, t2))
             assert np.array_equal(lhs, rhs), (name, mf, mg)
-
-
-def test_coboundary_apply_matches_matrix():
-    algebras = (
-        CORPUS["dual_f3"],
-        CORPUS["ut2_f2"],
-        dual_numbers(F4),
-        truncated_polynomial(F9, 3),
-        upper_triangular(F3, 2),
-    )
-    for A in algebras:
-        rng = random.Random(9)
-        for m in range(0, 4):
-            delta = coboundary_matrix(A, m)
-            vec = np.array([rng.randrange(A.field.q) for _ in range(cochain_dim(A, m))])
-            f = Cochain(A, m, vec)
-            assert np.array_equal(coboundary_apply(f).flat(), delta @ vec)
 
 
 # Scalar references for the cochain contractions, the differentials and the
@@ -893,7 +888,7 @@ def _random_block(F, k, n, rng):
 @pytest.mark.parametrize("F", APPLY_FIELDS, ids=repr)
 def test_boundary_apply_matches_matrix(F):
     rng = np.random.default_rng(F.q % 1000)
-    for A in _apply_algebras(F):
+    for A in (field_algebra(F), *_apply_algebras(F)):  # d = 1: reduced slots of size 0
         for m in range(1, 5):
             for k in (0, 3):
                 X = _random_block(F, k, chain_dim(A, m), rng)
@@ -901,6 +896,24 @@ def test_boundary_apply_matches_matrix(F):
                 want = F.mat_mul(X, boundary_matrix(A, m).data.T)
                 assert got.shape == (k, chain_dim(A, m - 1))
                 assert np.array_equal(got, want), (F, A.dim, m, k)
+
+
+def test_coboundary_apply_matches_matrix():
+    # the boundary test's fields and algebras, and two corpus algebras: blocks
+    # of rows through _apply, single cochains through coboundary_apply
+    rng = np.random.default_rng(9)
+    grid = [A for F in APPLY_FIELDS for A in (field_algebra(F), *_apply_algebras(F))]
+    for A in grid + [CORPUS["dual_f3"], CORPUS["ut2_f2"]]:
+        F = A.field
+        for m in range(5):
+            delta = coboundary_matrix(A, m).data
+            for k in (0, 3):
+                X = _random_block(F, k, cochain_dim(A, m), rng)
+                got = hochschild._apply(F, hochschild._coboundary_terms(A, m), X)
+                assert got.shape == (k, cochain_dim(A, m + 1))
+                assert np.array_equal(got, F.mat_mul(X, delta.T)), (F, A.dim, m, k)
+            f = Cochain(A, m, _random_block(F, 1, cochain_dim(A, m), rng)[0])
+            assert np.array_equal(coboundary_apply(f).flat(), F.mat_mul(delta, f.flat()))
 
 
 @pytest.mark.parametrize("F", APPLY_FIELDS, ids=repr)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -24,7 +25,7 @@ from kuelsh.catalog import (
     upper_triangular,
 )
 from kuelsh.degree0 import hh0_data, kappa_n_direct
-from kuelsh.errors import DimensionMismatch, NotACycle
+from kuelsh.errors import DimensionMismatch, NotACocycle, NotACycle
 from kuelsh.fieldlin import FiniteField, Matrix, row_reduce
 from kuelsh.hochschild import (
     Cochain,
@@ -204,6 +205,20 @@ def test_kappa_hat_builds_no_extension_boundary(monkeypatch):
     monkeypatch.setattr(kuelsh.kappa, "boundary_matrix", spy, raising=False)
     kappa_hat(A, 2, 1)
     assert max(m for on_ta, m in built if on_ta) == 3
+
+
+def test_kappa_rejects_a_representative_that_is_not_a_cocycle(monkeypatch):
+    # the last of HH^1's three representatives is swapped for a cochain with a
+    # nonzero coboundary: every row is checked, not only the first
+    A = CORPUS["trunc3_f3"]
+    coh = cohomology(A, 1)
+    assert coh.dimension >= 2
+    delta = coboundary_matrix(A, 1).data
+    bad = next(e for e in np.eye(cochain_dim(A, 1), dtype=np.int64) if (delta @ e).any())
+    fake = dataclasses.replace(coh, representatives=np.vstack([coh.representatives[:-1], bad]))
+    monkeypatch.setattr(kuelsh.kappa, "cohomology", lambda T, m: fake)
+    with pytest.raises(NotACocycle):
+        kappa_m_n(A, lam_of(A), 1, 1)
 
 
 def test_kappa_on_cycles_builds_one_gram_matrix(monkeypatch):

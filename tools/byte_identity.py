@@ -8,8 +8,10 @@ Runs the same `kuelsh` commands from this checkout's `src/` and from
 * every job of the benchmark's workloads (`bench/workloads.py`), on inputs
   written once by `bench/inputs.write_inputs` for seeds 1 and 2;
 * `validate`, `degree0 --n 1`, `degree0 --n 3`, `hh --max-degree 3`,
-  `hh --max-degree 4 --force`, `kappa --m 1 --n 1`, `kappa --m 1 --n 1 --hat`
-  and `kappa --m 0 --n 2 --hat` on every `corpus/*.json` of this checkout.
+  `hh --max-degree 4 --force`, `kappa --m 1 --n 1`, `kappa --m 1 --n 1 --hat`,
+  `kappa --m 0 --n 2 --hat` and `kappa --m 2 --n 1` on every `corpus/*.json`
+  of this checkout.  The last one checks degree-2 cocycles and degree-2p
+  cycles on both kappa routes of the symmetric inputs.
 
 Each child runs with one BLAS thread under a 3 GB RLIMIT_AS, set on the child
 only.  Prints each differing run, then `N runs, D differ`, and exits 1 when
@@ -36,6 +38,7 @@ CORPUS_COMMANDS = (
     ("kappa", "--m", "1", "--n", "1"),
     ("kappa", "--m", "1", "--n", "1", "--hat"),
     ("kappa", "--m", "0", "--n", "2", "--hat"),
+    ("kappa", "--m", "2", "--n", "1"),
 )
 MEMORY_LIMIT = 3 * 2**30
 TIMEOUT_S = 600
