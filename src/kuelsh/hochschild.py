@@ -9,25 +9,19 @@ maps on the reduced algebra with values in A.
 
 Homology is computed one weight block at a time.  Integer weights w of the
 basis with w_0 = 0 and w_k = w_i + w_j wherever c[i,j,k] != 0 (a free
-grading, found once per algebra by an exact integer nullspace and checked
-on every structure constant) give a chain (i_0, .., i_m) the weight
-sum w_{i_t} and a cochain (J, k) the weight w_k - sum w_J.  Every
-differential preserves it, so after sorting the indices by weight each is
-block diagonal.  `homology` and `cohomology` split the degree-m space into
-blocks, runs of weight classes no wider than the widest class, and build
-for each only the blocks of the outgoing and the incoming map on it, in the
-narrowest integer type in which its elimination is exact (see `fieldlin`),
-and reduce each in that buffer: the outgoing map in place and right to left,
-its kernel read off that form, the incoming one in a transposed copy.  A
-block with no rows or no columns is a zero map and is not eliminated.  Each
-term of a differential is a product of two neighbouring slots; its nonzero
-entries are found once for all blocks, by reading the slot digits off the
-column indices.  The blocks' RREFs have disjoint supports, so the global
-cycles, boundaries and representatives are their union sorted by pivot,
-written straight into place, and equal to the RREFs of the whole
-differentials.  An algebra with no nonzero weights (a dense basis) has one
-block, the whole differential.  `boundary_matrix` and `coboundary_matrix`
-build that whole case with the same code.
+grading, found by an exact integer nullspace) give a chain (i_0, .., i_m)
+the weight sum w_{i_t} and a cochain (J, k) the weight w_k - sum w_J, and
+every differential preserves it.  `homology` and `cohomology` split the
+degree-m space into runs of weight classes no wider than the widest class
+and build only the blocks of the outgoing and incoming maps on each, in the
+narrowest integer type in which its elimination is exact (see `fieldlin`).
+A `HomologyBasis` keeps each block's cycles and boundaries in the block's
+own coordinates and lays out only the representatives in F^n.  The blocks'
+RREFs have disjoint supports, so the global cycles and boundaries, their
+union sorted by pivot and equal to the RREFs of the whole differentials,
+are assembled only on request.  A dense basis has one block, the whole
+differential, which `boundary_matrix` and `coboundary_matrix` build with
+the same code.
 
 The boundary b and the coboundary delta are defined once, by the terms
 `_boundary_terms` and `_coboundary_terms` yield: `_entries` evaluates them
@@ -207,8 +201,7 @@ def _zeros(rows, cols, dtype):
 
 def _disk_cache_path(A, kind, m):
     # There is no disk cache.  bench/tracer.py's build probe calls this by
-    # name; the stub goes when spans inside the library replace that tracer
-    # (ROADMAP item 5).
+    # name; the stub goes when spans inside the library replace that tracer.
     return None
 
 
@@ -250,9 +243,10 @@ class Cochain:
     __slots__ = ("algebra", "degree", "coeffs")
 
     def __init__(self, algebra, degree, coeffs):
-        coeffs = _in_range(algebra.field, np.asarray(coeffs, dtype=np.int64))
+        coeffs = _in_range(algebra.field, np.array(coeffs, dtype=np.int64))  # a copy it owns
         if coeffs.size != cochain_dim(algebra, degree):
             raise DimensionMismatch(f"degree-{degree} cochain coefficients of shape {coeffs.shape}")
+        coeffs.setflags(write=False)
         self.algebra = algebra
         self.degree = degree
         self.coeffs = coeffs.reshape((algebra.dim - 1) ** degree, algebra.dim)
@@ -271,9 +265,14 @@ class Cochain:
     def is_zero(self):
         return not self.coeffs.any()
 
+    def _shares_algebra(self, other):
+        A, B = self.algebra, other.algebra
+        return A is B or A.content_hash() == B.content_hash()
+
     def __eq__(self, other):
         return (
             isinstance(other, Cochain)
+            and self._shares_algebra(other)
             and self.degree == other.degree
             and np.array_equal(self.coeffs, other.coeffs)
         )
@@ -281,7 +280,7 @@ class Cochain:
 
 def cup_product(f, g):
     """(f cup g)(args) = f(front) . g(back); strictly associative on cochains."""
-    if f.algebra is not g.algebra and f.algebra.content_hash() != g.algebra.content_hash():
+    if not f._shares_algebra(g):
         raise AlgebraMismatch("cup product needs cochains over one algebra")
     A = f.algebra
     F, d, c = A.field, A.dim, A.const
@@ -297,11 +296,8 @@ def cup_power(f, e):
 
 
 def coboundary_apply(f):
-    """The coboundary of one cochain, without building coboundary_matrix.
-
-    (df)(a_0, .., a_m) = a_0 f(a_1, ..) + sum_i (-1)^i f(.., a_{i-1} a_i, ..)
-    + (-1)^(m+1) f(a_0, .., a_{m-1}) a_m, one mat_mul per term.
-    """
+    """The coboundary of one cochain, one mat_mul per term of delta, without
+    building coboundary_matrix."""
     A, m = f.algebra, f.degree
     return Cochain(A, m + 1, _apply(A.field, _coboundary_terms(A, m), f.flat()[None])[0])
 
@@ -313,23 +309,32 @@ def coboundary_apply(f):
 class HomologyBasis:
     degree: int
     representatives: np.ndarray  # read-only (dimension, n) RREF block of rows
-    cycles: Subspace
-    boundaries: Subspace
+    field: object
+    blocks: list  # (idx, cycles, boundaries): each weight block's RREFs in F^len(idx)
 
-    @property
-    def dimension(self):
-        return len(self.representatives)
+    dimension = property(lambda self: len(self.representatives))
+
+    def _assembled(self, i):
+        n = self.representatives.shape[1]
+        parts = [(b[0], b[i].basis.data, list(b[i].pivots)) for b in self.blocks]
+        return Subspace._of_buffer(self.field, n, *_assemble(n, parts))
+
+    # the global RREFs in F^n, assembled anew on each read
+    cycles = property(lambda self: self._assembled(1))
+    boundaries = property(lambda self: self._assembled(2))
 
     def express(self, v):
         """Coordinates of a cycle's class in this basis, or of each row's class
         for a (k, n) block of cycles.
 
         The representatives are in RREF and reduced modulo the boundaries, so
-        the class of v is w = boundaries.reduce(v), and its coordinates are w
-        read at the representatives' pivots.
+        the class of v is w, v reduced in each block by its boundaries, and its
+        coordinates are w read at the representatives' pivots.
         """
-        F, reps = self.cycles.field, self.representatives
-        w = self.boundaries.reduce(v)
+        F, reps = self.field, self.representatives
+        w = _as_rows(F, v, reps.shape[1]).copy()
+        for idx, _, boundaries in self.blocks:
+            w[..., idx] = boundaries.reduce(w[..., idx])
         coords = w[..., [np.flatnonzero(r)[0] for r in reps]]
         if F.vsub(w, F.mat_mul(coords, reps)).any():
             raise NotACycle("vector is not a cycle modulo boundaries")
@@ -337,26 +342,22 @@ class HomologyBasis:
 
 
 def _assemble(n, parts):
-    """One int64 RREF basis in F^n from RREF blocks (idx, rows, pivots) on
-    disjoint ascending coordinate sets idx: each block's rows are written in
-    place at their global pivots idx[pivots], in ascending order, and dropped
-    from `parts` once written.  Returns the basis and its pivots; one block
-    on all n coordinates is that already."""
+    """One int64 RREF basis in F^n and its pivots from RREF blocks (idx, rows,
+    pivots) on disjoint ascending coordinate sets idx: each block's rows go to
+    their global pivots idx[pivots], in ascending order.  One block on all n
+    coordinates is that already."""
     if len(parts) == 1 and len(parts[0][0]) == n:
-        _, rows, p = parts.pop()
-        return rows, list(p)
+        return parts[0][1], list(parts[0][2])
     pivots = np.sort(np.concatenate([np.zeros(0, np.int64)] + [idx[p] for idx, _, p in parts]))
     out = np.zeros((len(pivots), n), dtype=np.int64)
-    while parts:
-        idx, rows, p = parts.pop()
+    for idx, rows, p in parts:
         out[np.searchsorted(pivots, idx[p])[:, None], idx] = rows
     return out, pivots.tolist()
 
 
 def _cycles(F, k, maps):
-    """The kernel in F^k of the next map `maps` yields (None, or a matrix with
-    no rows, is a zero map), from one right-to-left elimination in its own
-    buffer."""
+    """The kernel in F^k of the next map `maps` yields (None, or no rows, is a
+    zero map), from one right-to-left elimination in its own buffer."""
     R = None if maps is None else next(maps).data
     if R is None or not R.size:
         return Subspace.full(F, k)
@@ -365,8 +366,8 @@ def _cycles(F, k, maps):
 
 
 def _boundaries(F, k, maps):
-    """The image in F^k of the next map `maps` yields (None, or a matrix with
-    no columns, is a zero map), from one elimination of its transpose."""
+    """The image in F^k of the next map `maps` yields (None, or no columns, is
+    a zero map), from one elimination of its transpose."""
     B = None if maps is None else next(maps).data
     if B is None or not B.size:
         return Subspace(F, k)
@@ -382,22 +383,19 @@ def _homology_basis(F, m, n, blocks, outgoing, incoming):
     each, restricted to it, and are read in that order (None is a zero map).
     A block's cycles are the kernel of the first, its boundaries the row
     space of the second transposed, its representatives the quotient basis,
-    each reduced to basis rows before the next map is built.  The blocks'
-    RREFs have disjoint supports, so the global ones are their union sorted
-    by pivot.
+    each reduced to basis rows before the next map is built.  Only the
+    representatives are laid out in F^n, by pivot.
     """
-    cyc, bnd, rep = [], [], []
+    parts, rep = [], []
     for idx in blocks:
         cycles = _cycles(F, len(idx), outgoing)
         boundaries = _boundaries(F, len(idx), incoming)
         reps = cycles.quotient_basis(boundaries).data
-        cyc.append((idx, cycles.basis.data, list(cycles.pivots)))
-        bnd.append((idx, boundaries.basis.data, list(boundaries.pivots)))
+        parts.append((idx, cycles, boundaries))
         rep.append((idx, reps, (reps != 0).argmax(axis=1)))
-    cycles, boundaries = (Subspace._of_buffer(F, n, *_assemble(n, p)) for p in (cyc, bnd))
     reps = _assemble(n, rep)[0]
     reps.setflags(write=False)
-    return HomologyBasis(m, reps, cycles, boundaries)
+    return HomologyBasis(m, reps, F, parts)
 
 
 def _grading(A):

@@ -14,8 +14,10 @@ Runs the same `kuelsh` commands from this checkout's `src/` and from
   cycles on both kappa routes of the symmetric inputs.
 
 Each child runs with one BLAS thread under a 3 GB RLIMIT_AS, set on the child
-only.  Prints each differing run, then `N runs, D differ`, and exits 1 when
-D > 0.  The `bench/` modules are imported, never written.
+only, and its peak RSS is read from `os.wait4` on both sides.  Prints each
+differing run, then the five largest increases in peak RSS, then
+`N runs, D differ`, and exits 1 when D > 0: only stdout and exit codes
+count.  The `bench/` modules are imported, never written.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import threading
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2)
@@ -49,22 +52,28 @@ def _limit_memory():
 
 
 def run(tree, argv, cwd):
-    """(exit code, stdout) of `python -m kuelsh.cli argv` on tree's sources."""
+    """(exit code, stdout, peak RSS in MB) of `python -m kuelsh.cli argv` on
+    tree's sources; the child is reaped by `os.wait4` for its rusage."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONHASHSEED="0")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "kuelsh.cli", *argv],
-            env=env,
-            cwd=cwd,
-            capture_output=True,
-            preexec_fn=_limit_memory,
-            timeout=TIMEOUT_S,
-        )
-    except subprocess.TimeoutExpired:
-        return "timeout", b""
-    return proc.returncode, proc.stdout
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kuelsh.cli", *argv],
+        env=env,
+        cwd=cwd,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        preexec_fn=_limit_memory,
+    )
+    killed = []
+    timer = threading.Timer(TIMEOUT_S, lambda: killed.append(proc.kill()))
+    timer.start()
+    with proc.stdout:
+        out = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # a late kill is a no-op
+    timer.cancel()
+    return ("timeout" if killed else proc.returncode), out, usage.ru_maxrss / 1024
 
 
 def commands(work):
@@ -92,14 +101,18 @@ def main(argv=None):
     parent = os.path.abspath(args[0])
     with tempfile.TemporaryDirectory() as work:
         runs = commands(work)
-        differ = 0
+        differ, peaks = 0, []
         for cmd in runs:
-            (code, out), (parent_code, parent_out) = run(ROOT, cmd, work), run(parent, cmd, work)
+            code, out, peak = run(ROOT, cmd, work)
+            parent_code, parent_out, parent_peak = run(parent, cmd, work)
+            shown = " ".join(cmd).replace(work + os.sep, "").replace(ROOT + os.sep, "")
+            peaks.append((peak - parent_peak, parent_peak, peak, shown))
             if (code, out) != (parent_code, parent_out):
                 differ += 1
                 what = f"exit {parent_code} -> {code}" if code != parent_code else "stdout"
-                shown = " ".join(cmd).replace(work + os.sep, "").replace(ROOT + os.sep, "")
                 print(f"differs ({what}): {shown}", flush=True)
+        for rise, before, after, shown in sorted(peaks, reverse=True)[:5]:
+            print(f"peak RSS {rise:+.1f} MB ({before:.1f} -> {after:.1f}): {shown}")
         print(f"{len(runs)} runs, {differ} differ")
     return 1 if differ else 0
 
