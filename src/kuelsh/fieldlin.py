@@ -5,8 +5,8 @@ coefficients (constant term first) of the residue polynomial.  Everything is
 deterministic: row reduction pivots left to right and takes the first nonzero
 row, so identical inputs always produce identical bases and representatives.
 
-Matrices are dense numpy arrays of scalar indices, int64 except elimination
-buffers.  Row reduction works in place on one buffer in the narrowest of
+Matrices are dense int64 numpy arrays of scalar indices; operands must share
+one field.  Row reduction works in place on one buffer in the narrowest of
 int16, int32 and int64 in which max(min(rows, cols), 1) (p-1)^2 + p fits
 (int16 over extension fields, whose entries are table indices below 512).
 Internal elimination consumes its buffer and keeps only the basis rows, as
@@ -322,16 +322,13 @@ def _as_rows(field, v, length, ndim=None):
     return _in_range(field, arr)
 
 
-class Matrix:
-    """Read-only dense matrix of scalar indices over a finite field.
+def _same_field(field, other):
+    if field != other:
+        raise FieldMismatch(f"operands over {field!r} and {other!r}")
 
-    `data` is int64, except in the matrices `hochschild.boundary_matrix` and
-    `coboundary_matrix` return: those hold their elimination buffer in the
-    signed type `_elimination_dtype` picks, which may be int16 or int32, and
-    homology reduces that buffer in place.  The library's operations on
-    them stay exact (products widen to int64); numpy arithmetic on their
-    `data` should widen it first.
-    """
+
+class Matrix:
+    """Read-only dense int64 matrix of scalar indices over a finite field."""
 
     __slots__ = ("field", "data")
 
@@ -346,17 +343,6 @@ class Matrix:
         arr.setflags(write=False)
         self.field = field
         self.data = arr
-
-    @classmethod
-    def _of_buffer(cls, field, buf):
-        """The matrix on an owned buffer of scalar indices, kept in its own
-        integer type (the one `_elimination_dtype` picks) and not copied;
-        its builder hands it over for elimination in place."""
-        buf.setflags(write=False)
-        self = cls.__new__(cls)
-        self.field = field
-        self.data = buf
-        return self
 
     @classmethod
     def zeros(cls, field, rows, cols):
@@ -383,11 +369,11 @@ class Matrix:
         )
 
     def __add__(self, other):
-        self._check_same_shape(other)
+        self._check_operand(other)
         return Matrix(self.field, self.field.vadd(self.data, other.data), copy=False)
 
     def __sub__(self, other):
-        self._check_same_shape(other)
+        self._check_operand(other)
         return Matrix(self.field, self.field.vsub(self.data, other.data), copy=False)
 
     def __neg__(self):
@@ -395,12 +381,14 @@ class Matrix:
 
     def __matmul__(self, other):
         if isinstance(other, Matrix):
+            _same_field(self.field, other.field)
             return Matrix(
                 self.field, self.field.mat_mul(self.data, other.data), copy=False
             )
         return self.mul_vec(other)
 
-    def _check_same_shape(self, other):
+    def _check_operand(self, other):
+        _same_field(self.field, other.field)
         if self.data.shape != other.data.shape:
             raise DimensionMismatch(
                 f"shape mismatch {self.data.shape} vs {other.data.shape}"
@@ -651,6 +639,7 @@ class Subspace:
             self._span(field, ambient_dim, np.zeros((0, ambient_dim), dtype=np.int64), ())
             return
         if isinstance(rows, Matrix):
+            _same_field(field, rows.field)
             data = rows.data
         else:
             data = _in_range(field, np.asarray(rows, dtype=np.int64))
@@ -772,6 +761,7 @@ class Subspace:
 
 def preimage(matrix, target):
     """{x : Mx in target} as a subspace of the domain."""
+    _same_field(matrix.field, target.field)
     if matrix.rows != target.ambient_dim:
         raise DimensionMismatch(
             f"matrix with {matrix.rows} rows cannot land in ambient {target.ambient_dim}"

@@ -15,13 +15,13 @@ every differential preserves it.  `homology` and `cohomology` split the
 degree-m space into runs of weight classes no wider than the widest class
 and build only the blocks of the outgoing and incoming maps on each, in the
 narrowest integer type in which its elimination is exact (see `fieldlin`).
-A `HomologyBasis` keeps each block's cycles and boundaries in the block's
-own coordinates and lays out only the representatives in F^n.  The blocks'
-RREFs have disjoint supports, so the global cycles and boundaries, their
-union sorted by pivot and equal to the RREFs of the whole differentials,
-are assembled only on request.  A dense basis has one block, the whole
-differential, which `boundary_matrix` and `coboundary_matrix` build with
-the same code.
+A `HomologyBasis` keeps each block's boundaries in the block's own
+coordinates and lays out only the representatives in F^n; the cycles, their
+span, are derived.  The blocks' RREFs have disjoint supports, so the global
+boundaries, their union sorted by pivot and the RREF of the whole
+differential, are assembled only on request.  A dense basis has one block,
+the whole differential, which `boundary_matrix` and `coboundary_matrix`
+build with the same code and return as an int64 `Matrix`.
 
 The boundary b and the coboundary delta are defined once, by the terms
 `_boundary_terms` and `_coboundary_terms` yield: `_entries` evaluates them
@@ -45,11 +45,12 @@ from .fieldlin import Matrix, Subspace, _as_rows, _elimination_dtype, _in_range,
 
 
 def chain_dim(A, m):
+    if m < 0:
+        raise ValueError(f"degree {m} is negative")
     return A.dim * (A.dim - 1) ** m
 
 
-def cochain_dim(A, m):
-    return (A.dim - 1) ** m * A.dim
+cochain_dim = chain_dim  # (d-1)^m x d coefficients: as many as chains
 
 
 def _labels(spec):
@@ -143,9 +144,10 @@ def _blocks(A, terms, m, rows, cols):
 
     Every row that a column of cols[b] reaches must lie in rows[b]: the whole
     index ranges, or the same weight classes on each side.  Each term's nonzero
-    entries are found once, for the columns of all blocks; each block is
-    allocated in the narrowest integer type in which its elimination is
-    exact when the generator reaches it, and filled term by term.
+    entries are found once, for the columns of all blocks; each block is an
+    owned array, allocated in the narrowest integer type in which its
+    elimination is exact when the generator reaches it, and filled term by
+    term.
     """
     F = A.field
     every, first, offset = _concat(cols)
@@ -170,7 +172,7 @@ def _blocks(A, terms, m, rows, cols):
                 out[i, j] = op(out[i, j], vals[span])
         if b == len(cols) - 1:  # no entry is read again
             parts.clear()
-        return Matrix._of_buffer(F, out)
+        return out
 
     # no local holds a block while the generator waits: its consumer owns it
     for b, (r, c) in enumerate(zip(rows, cols)):
@@ -206,10 +208,12 @@ def _disk_cache_path(A, kind, m):
 
 
 def _whole(A, terms, m, rows, cols):
-    """The whole rows x cols differential: `_blocks` on all indices, one block,
-    out of memory before any index array when numpy cannot address it."""
-    _addressable(rows, cols, _elimination_dtype(A.field, rows, cols))
-    return next(_blocks(A, terms, m, [np.arange(rows)], [np.arange(cols)]))
+    """The whole rows x cols differential as an int64 Matrix: `_blocks` on all
+    indices, one block, out of memory before any index array when numpy
+    cannot address it."""
+    _addressable(rows, cols, np.int64)
+    block = next(_blocks(A, terms, m, [np.arange(rows)], [np.arange(cols)]))
+    return Matrix(A.field, block, copy=False)
 
 
 def boundary_matrix(A, m):
@@ -310,18 +314,22 @@ class HomologyBasis:
     degree: int
     representatives: np.ndarray  # read-only (dimension, n) RREF block of rows
     field: object
-    blocks: list  # (idx, cycles, boundaries): each weight block's RREFs in F^len(idx)
+    blocks: list  # (idx, boundaries): each weight block's boundary RREF in F^len(idx)
 
     dimension = property(lambda self: len(self.representatives))
 
-    def _assembled(self, i):
+    # the global RREFs in F^n, anew on each read: the boundaries assembled by
+    # pivot, the cycles reduced from them and the representatives
+    @property
+    def boundaries(self):
         n = self.representatives.shape[1]
-        parts = [(b[0], b[i].basis.data, list(b[i].pivots)) for b in self.blocks]
+        parts = [(idx, b.basis.data, list(b.pivots)) for idx, b in self.blocks]
         return Subspace._of_buffer(self.field, n, *_assemble(n, parts))
 
-    # the global RREFs in F^n, assembled anew on each read
-    cycles = property(lambda self: self._assembled(1))
-    boundaries = property(lambda self: self._assembled(2))
+    @property
+    def cycles(self):
+        B = self.boundaries.basis.data
+        return Subspace(self.field, B.shape[1], np.vstack([B, self.representatives]))
 
     def express(self, v):
         """Coordinates of a cycle's class in this basis, or of each row's class
@@ -333,7 +341,7 @@ class HomologyBasis:
         """
         F, reps = self.field, self.representatives
         w = _as_rows(F, v, reps.shape[1]).copy()
-        for idx, _, boundaries in self.blocks:
+        for idx, boundaries in self.blocks:
             w[..., idx] = boundaries.reduce(w[..., idx])
         coords = w[..., [np.flatnonzero(r)[0] for r in reps]]
         if F.vsub(w, F.mat_mul(coords, reps)).any():
@@ -357,18 +365,17 @@ def _assemble(n, parts):
 
 def _cycles(F, k, maps):
     """The kernel in F^k of the next map `maps` yields (None, or no rows, is a
-    zero map), from one right-to-left elimination in its own buffer."""
-    R = None if maps is None else next(maps).data
+    zero map), from one right-to-left elimination of that array in place."""
+    R = None if maps is None else next(maps)
     if R is None or not R.size:
         return Subspace.full(F, k)
-    R.setflags(write=True)  # nothing else holds the matrix: reduce in place
     return _kernel(F, R)
 
 
 def _boundaries(F, k, maps):
     """The image in F^k of the next map `maps` yields (None, or no columns, is
     a zero map), from one elimination of its transpose."""
-    B = None if maps is None else next(maps).data
+    B = None if maps is None else next(maps)
     if B is None or not B.size:
         return Subspace(F, k)
     B = B.T.copy()  # only the copy is reduced: the map itself goes now
@@ -383,15 +390,15 @@ def _homology_basis(F, m, n, blocks, outgoing, incoming):
     each, restricted to it, and are read in that order (None is a zero map).
     A block's cycles are the kernel of the first, its boundaries the row
     space of the second transposed, its representatives the quotient basis,
-    each reduced to basis rows before the next map is built.  Only the
-    representatives are laid out in F^n, by pivot.
+    each reduced to basis rows before the next map is built.  A block keeps
+    its boundaries; only the representatives are laid out in F^n, by pivot.
     """
     parts, rep = [], []
     for idx in blocks:
         cycles = _cycles(F, len(idx), outgoing)
         boundaries = _boundaries(F, len(idx), incoming)
         reps = cycles.quotient_basis(boundaries).data
-        parts.append((idx, cycles, boundaries))
+        parts.append((idx, boundaries))
         rep.append((idx, reps, (reps != 0).argmax(axis=1)))
     reps = _assemble(n, rep)[0]
     reps.setflags(write=False)

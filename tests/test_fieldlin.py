@@ -1065,6 +1065,18 @@ def test_extension_field_entries_out_of_range_rejected():
         Subspace(F4, 2, [[1, 0]]).reduce([0, 4])
 
 
+def test_operands_over_different_fields_rejected():
+    M5, M3 = Matrix(F5, [[4]]), Matrix(F3, [[2]])
+    for op in (lambda a, b: a @ b, lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(FieldMismatch):
+            op(M5, M3)
+    with pytest.raises(FieldMismatch):
+        preimage(M5, Subspace(F3, 1, [[1]]))
+    with pytest.raises(FieldMismatch):
+        Subspace(F4, 2, Matrix(F5, [[4, 3]]))
+    assert (Matrix(F5, [[4]]) @ M5).data.tolist() == [[1]]
+
+
 # -- large characteristic --------------------------------------------------
 
 

@@ -27,6 +27,7 @@ from kuelsh.catalog import (
 )
 from kuelsh import fieldlin, hochschild
 from kuelsh.degree0 import center, commutator_space, hh0_data
+from kuelsh.kappa import kappa_hat
 from kuelsh.errors import DimensionMismatch, FieldMismatch, NotACocycle, NotACycle, NotUnital
 from kuelsh.fieldlin import FiniteField, Matrix, Subspace, row_reduce
 from kuelsh.hochschild import (
@@ -320,7 +321,7 @@ def test_homology_eliminates_each_differential_once(monkeypatch):
 
     def spy_blocks(*args):
         for M in blocks(*args):
-            calls.append("block" if M.data.size else "zero")
+            calls.append("block" if M.size else "zero")
             yield M
 
     monkeypatch.setattr(fieldlin, "_rref", lambda *a: calls.append("rref") or rref(*a))
@@ -381,11 +382,11 @@ def test_zeros_counts_the_bytes_of_its_type(monkeypatch):
 def _whole_matrix_homology(A, m, cochains):
     """`_homology_basis` fed the whole differentials, as one block."""
     if cochains:
-        n, out = cochain_dim(A, m), iter([coboundary_matrix(A, m)])
-        into = iter([coboundary_matrix(A, m - 1)]) if m else None
+        n, out = cochain_dim(A, m), iter([coboundary_matrix(A, m).data.copy()])
+        into = iter([coboundary_matrix(A, m - 1).data.copy()]) if m else None
     else:
-        n, out = chain_dim(A, m), iter([boundary_matrix(A, m)]) if m else None
-        into = iter([boundary_matrix(A, m + 1)])
+        n, out = chain_dim(A, m), iter([boundary_matrix(A, m).data.copy()]) if m else None
+        into = iter([boundary_matrix(A, m + 1).data.copy()])
     return _homology_basis(A.field, m, n, [np.arange(n)], out, into)
 
 
@@ -419,8 +420,8 @@ def test_block_homology_matches_whole_matrix():
 def _block_bytes(hb):
     """The bytes of the arrays a HomologyBasis holds."""
     arrays = [hb.representatives]
-    for idx, cycles, boundaries in hb.blocks:
-        arrays += [idx, cycles.basis.data, boundaries.basis.data]
+    for idx, boundaries in hb.blocks:
+        arrays += [idx, boundaries.basis.data]
     return sum(a.nbytes for a in arrays)
 
 
@@ -430,6 +431,44 @@ def test_block_bases_are_small():
     TA = trivial_extension(dual_numbers(F3)).algebra
     held = _block_bytes(homology(TA, 5)) + _block_bytes(cohomology(TA, 5))
     assert held < 2 * 2**20, held
+
+
+def test_block_bases_keep_no_cycles():
+    # each block holds its index array and its boundaries; the cycles, which
+    # are the boundaries plus the representatives, are not kept
+    for A, top, _ in _graded_algebras():
+        for m in range(top + 1):
+            for hb in (homology(A, m), cohomology(A, m)):
+                for idx, boundaries in hb.blocks:
+                    assert isinstance(boundaries, Subspace) and boundaries.ambient_dim == len(idx)
+    # 1.49 MiB when each block also kept its cycles
+    TA = trivial_extension(dual_numbers(F3)).algebra
+    held = _block_bytes(homology(TA, 5)) + _block_bytes(cohomology(TA, 5))
+    assert held < 2**20, held
+
+
+def test_differential_matrices_are_read_only_int64():
+    # the narrow buffer a block is built in never leaves the module
+    TA = trivial_extension(dual_numbers(F3)).algebra
+    for M in (boundary_matrix(TA, 3), coboundary_matrix(TA, 2)):
+        assert M.data.dtype == np.int64 and not M.data.flags.writeable
+        with pytest.raises(ValueError):
+            M.data[0, 0] = 1
+
+
+def test_negative_degrees_are_value_errors():
+    A = dual_numbers(F3)
+    calls = (
+        lambda: chain_dim(A, -1),
+        lambda: cochain_dim(A, -1),
+        lambda: homology(A, -1),
+        lambda: cohomology(A, -1),
+        lambda: Cochain(A, -1, [0, 1]),
+        lambda: kappa_hat(A, -1, 1),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="is negative"):
+            call()
 
 
 def test_homology_assembles_only_the_representatives(monkeypatch):

@@ -15,9 +15,10 @@ Runs the same `kuelsh` commands from this checkout's `src/` and from
 
 Each child runs with one BLAS thread under a 3 GB RLIMIT_AS, set on the child
 only, and its peak RSS is read from `os.wait4` on both sides.  Prints each
-differing run, then the five largest increases in peak RSS, then
-`N runs, D differ`, and exits 1 when D > 0: only stdout and exit codes
-count.  The `bench/` modules are imported, never written.
+differing run, then the five largest increases in peak RSS and the five
+largest decreases, then `N runs, D differ`, and exits 1 when D > 0: only
+stdout and exit codes count.  The `bench/` modules are imported, never
+written.
 """
 
 from __future__ import annotations
@@ -111,7 +112,8 @@ def main(argv=None):
                 differ += 1
                 what = f"exit {parent_code} -> {code}" if code != parent_code else "stdout"
                 print(f"differs ({what}): {shown}", flush=True)
-        for rise, before, after, shown in sorted(peaks, reverse=True)[:5]:
+        ranked = sorted(peaks, reverse=True)
+        for rise, before, after, shown in ranked[:5] + ranked[:-6:-1]:
             print(f"peak RSS {rise:+.1f} MB ({before:.1f} -> {after:.1f}): {shown}")
         print(f"{len(runs)} runs, {differ} differ")
     return 1 if differ else 0
