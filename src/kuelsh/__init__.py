@@ -1,109 +1,81 @@
-"""Exact Kulshammer-type invariants of finite dimensional algebras."""
+"""Exact Kulshammer-type invariants of finite dimensional algebras.
 
-from .algebra import (
-    Algebra,
-    AlgebraMorphism,
-    BilinearForm,
-    algebra_from_json,
-    algebra_to_json,
-    algebra_validate,
-    morphism_validate,
-    normalize_unit,
-    opposite,
-    symmetrizing_form_search,
-    tensor_product,
-    trivial_extension,
-)
-from .degree0 import (
-    annihilator_in_dual,
-    bhz_check,
-    center,
-    commutator_space,
-    degree0_report,
-    kappa_n_direct,
-    kulshammer_T,
-    perp,
-    ppower_on_HH0,
-    zeta_n,
-)
-from .fieldlin import (
-    FiniteField,
-    Matrix,
-    RowReduction,
-    SemilinearMap,
-    Subspace,
-    preimage,
-    row_reduce,
-)
-from .hochschild import (
-    Cochain,
-    boundary_matrix,
-    coboundary_matrix,
-    cohomology,
-    cup_power,
-    cup_product,
-    gram_matrix,
-    hh_of_map,
-    homology,
-    induced_chain_map,
-    pairing,
-)
-from .kappa import kappa_compare_symmetric, kappa_hat, kappa_m_n
-from .oracle import (
-    brute_force_Tn,
-    dual_numbers,
-    kunneth_dim_check,
-    periodic_hh_dual_numbers,
-    ta_iso_dual,
-)
+The public names below resolve on first use: `kuelsh.homology` imports
+`kuelsh.hochschild` when it is first read, so importing the package (or
+`kuelsh.cli`) loads none of the modules a caller does not touch.
+"""
 
-__all__ = [
-    "Algebra",
-    "AlgebraMorphism",
-    "BilinearForm",
-    "Cochain",
-    "FiniteField",
-    "Matrix",
-    "RowReduction",
-    "SemilinearMap",
-    "Subspace",
-    "algebra_from_json",
-    "algebra_to_json",
-    "algebra_validate",
-    "annihilator_in_dual",
-    "bhz_check",
-    "boundary_matrix",
-    "brute_force_Tn",
-    "center",
-    "coboundary_matrix",
-    "cohomology",
-    "commutator_space",
-    "cup_power",
-    "cup_product",
-    "degree0_report",
-    "dual_numbers",
-    "gram_matrix",
-    "hh_of_map",
-    "homology",
-    "induced_chain_map",
-    "kappa_compare_symmetric",
-    "kappa_hat",
-    "kappa_m_n",
-    "kappa_n_direct",
-    "kulshammer_T",
-    "kunneth_dim_check",
-    "morphism_validate",
-    "normalize_unit",
-    "opposite",
-    "pairing",
-    "periodic_hh_dual_numbers",
-    "perp",
-    "ppower_on_HH0",
-    "preimage",
-    "row_reduce",
-    "symmetrizing_form_search",
-    "ta_iso_dual",
-    "tensor_product",
-    "trivial_extension",
-    "zeta_n",
-]
+import importlib
+
+_NAMES = {
+    "algebra": (
+        "Algebra",
+        "AlgebraMorphism",
+        "BilinearForm",
+        "algebra_from_json",
+        "algebra_to_json",
+        "algebra_validate",
+        "morphism_validate",
+        "normalize_unit",
+        "opposite",
+        "symmetrizing_form_search",
+        "tensor_product",
+        "trivial_extension",
+    ),
+    "degree0": (
+        "annihilator_in_dual",
+        "bhz_check",
+        "center",
+        "commutator_space",
+        "degree0_report",
+        "kappa_n_direct",
+        "kulshammer_T",
+        "perp",
+        "ppower_on_HH0",
+        "zeta_n",
+    ),
+    "fieldlin": (
+        "FiniteField",
+        "Matrix",
+        "RowReduction",
+        "SemilinearMap",
+        "Subspace",
+        "preimage",
+        "row_reduce",
+    ),
+    "hochschild": (
+        "Cochain",
+        "boundary_matrix",
+        "coboundary_matrix",
+        "cohomology",
+        "cup_power",
+        "cup_product",
+        "gram_matrix",
+        "hh_of_map",
+        "homology",
+        "induced_chain_map",
+        "pairing",
+    ),
+    "catalog": ("dual_numbers",),
+    "kappa": ("kappa_compare_symmetric", "kappa_hat", "kappa_m_n"),
+    "oracle": (
+        "brute_force_Tn",
+        "kunneth_dim_check",
+        "periodic_hh_dual_numbers",
+        "ta_iso_dual",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

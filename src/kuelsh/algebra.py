@@ -10,7 +10,6 @@ symmetrizing forms of a given algebra.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 
@@ -94,12 +93,13 @@ class Algebra:
         d = self.dim
         return self.field.mat_mul(a, self.const.reshape(d, d * d)).reshape(d, d).T
 
-    def content_hash(self):
-        h = hashlib.sha256()
-        h.update(repr((self.field.p, self.field.r, self.field.modulus)).encode())
-        h.update(repr(self.labels).encode())
-        h.update(self.const.tobytes())
-        return h.hexdigest()
+    def same_as(self, other):
+        """True iff other is this algebra or has its field, labels and constants."""
+        return self is other or (
+            self.field == other.field
+            and self.labels == other.labels
+            and np.array_equal(self.const, other.const)
+        )
 
     def __repr__(self):
         return f"Algebra(dim {self.dim} over {self.field!r})"
@@ -263,7 +263,7 @@ class AlgebraMorphism:
         return self.matrix.mul_vec(v)
 
     def compose(self, other):
-        if other.target is not self.source and other.target.content_hash() != self.source.content_hash():
+        if not other.target.same_as(self.source):
             raise DimensionMismatch("morphism composition mismatch")
         return AlgebraMorphism(other.source, self.target, self.matrix @ other.matrix)
 

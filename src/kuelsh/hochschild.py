@@ -269,14 +269,10 @@ class Cochain:
     def is_zero(self):
         return not self.coeffs.any()
 
-    def _shares_algebra(self, other):
-        A, B = self.algebra, other.algebra
-        return A is B or A.content_hash() == B.content_hash()
-
     def __eq__(self, other):
         return (
             isinstance(other, Cochain)
-            and self._shares_algebra(other)
+            and self.algebra.same_as(other.algebra)
             and self.degree == other.degree
             and np.array_equal(self.coeffs, other.coeffs)
         )
@@ -284,7 +280,7 @@ class Cochain:
 
 def cup_product(f, g):
     """(f cup g)(args) = f(front) . g(back); strictly associative on cochains."""
-    if not f._shares_algebra(g):
+    if not f.algebra.same_as(g.algebra):
         raise AlgebraMismatch("cup product needs cochains over one algebra")
     A = f.algebra
     F, d, c = A.field, A.dim, A.const

@@ -1,4 +1,6 @@
 import itertools
+import json
+import os
 import random
 import tracemalloc
 
@@ -11,6 +13,7 @@ from kuelsh.algebra import (
     Algebra,
     AlgebraMorphism,
     BilinearForm,
+    algebra_from_json,
     algebra_validate,
     identity_morphism,
     symmetrizing_form_search,
@@ -702,6 +705,36 @@ def test_cochains_over_different_algebras_differ():
     assert Cochain(dual_numbers(F3), 1, [1, 0]) != Cochain(dual_numbers(F5), 1, [1, 0])
     # one algebra built twice is the same algebra
     assert Cochain(dual_numbers(F3), 1, [1, 0]) == Cochain(dual_numbers(F3), 1, [1, 0])
+
+
+def test_algebras_compare_by_content():
+    # two loads of one corpus file are one algebra; a change of field, of one
+    # label or of one structure constant makes another
+    path = os.path.join(os.path.dirname(__file__), "..", "corpus", "ut2_f3.json")
+
+    def load():
+        with open(path) as fh:
+            return algebra_from_json(json.load(fh))
+
+    A, B = load(), load()
+    assert A is not B
+    f = np.arange(cochain_dim(A, 1)) % 3
+    assert Cochain(A, 1, f) == Cochain(B, 1, f)
+    assert cup_product(Cochain(A, 1, f), Cochain.unit(B)) == Cochain(B, 1, f)
+    composite = identity_morphism(A).compose(identity_morphism(B))
+    assert composite.source is B and composite.target is A
+    assert composite.matrix == Matrix.identity(F3, A.dim)
+    const = A.const.copy()
+    const[1, 1, 0] = (const[1, 1, 0] + 1) % 3
+    others = [
+        Algebra(F5, A.labels, A.const),
+        Algebra(F3, ("x",) + A.labels[1:], A.const),
+        Algebra(F3, A.labels, const),
+    ]
+    for C in others:
+        assert Cochain(A, 1, f) != Cochain(C, 1, f)
+        with pytest.raises(DimensionMismatch):
+            identity_morphism(A).compose(identity_morphism(C))
 
 
 def test_cochain_owns_its_coefficients():
