@@ -4,8 +4,6 @@ Input is the algebra JSON schema produced by `algebra_to_json`; output is a
 deterministic JSON document on stdout (identical inputs give byte-identical
 reports).  Exit codes: 0 success, 1 mathematical failure (invalid algebra,
 degenerate form, exceeded budget) or allocation failure, 2 I/O or parse errors.
-Each subcommand imports the modules it runs when it starts, so a process
-loads only what its command uses.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ from .algebra import (
     algebra_validate,
     symmetrizing_form_search,
 )
+from .degree0 import degree0_report
 from .errors import (
     BudgetExceeded,
     DegenerateForm,
@@ -29,6 +28,9 @@ from .errors import (
     NotSymmetric,
     ValidationFailure,
 )
+from .fieldlin import _rank
+from .hochschild import chain_dim, cohomology, gram_matrix, homology
+from .kappa import kappa_compare_symmetric, kappa_hat
 
 DEFAULT_COLUMN_BUDGET = 10_000
 
@@ -142,8 +144,6 @@ def cmd_validate(args):
 
 
 def cmd_degree0(args):
-    from .degree0 import degree0_report
-
     A = _load_algebra(args.path)
     _require_valid(A)
     lam, status = _resolve_form(A, args.form)
@@ -167,9 +167,6 @@ def cmd_degree0(args):
 
 
 def cmd_hh(args):
-    from .fieldlin import _rank
-    from .hochschild import chain_dim, cohomology, gram_matrix, homology
-
     A = _load_algebra(args.path)
     _require_valid(A)
     # HH_m builds the boundary b_{m+1}, whose columns span degree m + 1
@@ -201,8 +198,6 @@ def cmd_hh(args):
 
 
 def cmd_kappa(args):
-    from .kappa import kappa_compare_symmetric, kappa_hat
-
     A = _load_algebra(args.path)
     _require_valid(A)
     lam, status = _resolve_form(A, args.form)

@@ -933,15 +933,14 @@ def test_each_answer_makes_one_elimination(monkeypatch):
 def test_rank_reads_eliminate_only_the_matrix(monkeypatch):
     # a caller that reads only a rank reduces one m x n copy of M, not [M | I]
     import kuelsh.cli
-    import kuelsh.hochschild
     from kuelsh.catalog import dual_numbers
     from kuelsh.degree0 import kappa_n_direct
 
     calls = []
-    real, gram = fieldlin._rref, kuelsh.hochschild.gram_matrix
+    real, gram = fieldlin._rref, kuelsh.cli.gram_matrix
     monkeypatch.setattr(fieldlin, "_rref", lambda F, R: calls.append(R.shape) or real(F, R))
     monkeypatch.setattr(
-        kuelsh.hochschild, "gram_matrix", lambda *a: calls.append("gram") or gram(*a)
+        kuelsh.cli, "gram_matrix", lambda *a: calls.append("gram") or gram(*a)
     )
     assert SemilinearMap(Matrix(F4, [[1, 2, 3], [0, 1, 1]]), 1).rank == 2
     assert calls == [(2, 3)]
