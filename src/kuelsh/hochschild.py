@@ -11,10 +11,11 @@ Homology is computed one weight block at a time.  Integer weights w of the
 basis with w_0 = 0 and w_k = w_i + w_j wherever c[i,j,k] != 0 (a free
 grading, found by an exact integer nullspace) give a chain (i_0, .., i_m)
 the weight sum w_{i_t} and a cochain (J, k) the weight w_k - sum w_J, and
-every differential preserves it.  `homology` and `cohomology` split the
-degree-m space into runs of weight classes no wider than the widest class
-and build only the blocks of the outgoing and incoming maps on each, in the
-narrowest integer type in which its elimination is exact (see `fieldlin`).
+every differential preserves it: it maps each weight class into the class
+of the same weight in the next degree.  `homology` and `cohomology` split
+the degree-m space into its weight classes and build only the blocks of the
+outgoing and incoming maps on each, in the narrowest integer type in which
+its elimination is exact (see `fieldlin`).
 A `HomologyBasis` keeps each block's boundaries in the block's own
 coordinates and lays out only the representatives in F^n; the cycles, their
 span, are derived.  The blocks' RREFs have disjoint supports, so the global
@@ -348,10 +349,7 @@ class HomologyBasis:
 def _assemble(n, parts):
     """One int64 RREF basis in F^n and its pivots from RREF blocks (idx, rows,
     pivots) on disjoint ascending coordinate sets idx: each block's rows go to
-    their global pivots idx[pivots], in ascending order.  One block on all n
-    coordinates is that already."""
-    if len(parts) == 1 and len(parts[0][0]) == n:
-        return parts[0][1], list(parts[0][2])
+    their global pivots idx[pivots], in ascending order."""
     pivots = np.sort(np.concatenate([np.zeros(0, np.int64)] + [idx[p] for idx, _, p in parts]))
     out = np.zeros((len(pivots), n), dtype=np.int64)
     for idx, rows, p in parts:
@@ -474,30 +472,21 @@ def _weight_classes(A, top, cochains):
 
 
 def _graded_homology(A, m, n, terms, step):
-    """`_homology_basis` in degree m on weight blocks, and the differentials
-    `terms` leaving them (to degree m + step) and entering them (from degree
-    m - step) restricted to each.  A block is a run of consecutive weight
-    classes, as long as it stays no wider than the widest class: any union
-    of classes is one for the differentials, and fewer blocks cost fewer
-    calls."""
+    """`_homology_basis` in degree m with one block per weight class, and the
+    differentials `terms` leaving them (to degree m + step) and entering them
+    (from degree m - step) restricted to each.  A differential maps each
+    class into the class with the same key, so the split is exact; a class
+    with no partner there meets a zero map, an empty index array."""
     classes = _weight_classes(A, m + 1, step > 0)
-    here = classes(m)
-    runs, widest = [], max(map(len, here.values()), default=0)
-    width = widest
-    for w, idx in here.items():
-        if width + len(idx) > widest:
-            runs.append([])
-            width = 0
-        runs[-1].append(w)
-        width += len(idx)
-    none = np.zeros(0, np.int64)
+    here, none = classes(m), np.zeros(0, np.int64)
+    blocks = list(here.values())
 
-    def union(there):
-        return [np.sort(np.concatenate([none, *(there[w] for w in r if w in there)])) for r in runs]
+    def partners(k):
+        there = classes(k)
+        return [there.get(w, none) for w in here]
 
-    blocks = union(here)
-    outgoing = _blocks(A, terms, m, union(classes(m + step)), blocks) if m + step >= 0 else None
-    incoming = _blocks(A, terms, m - step, blocks, union(classes(m - step))) if m - step >= 0 else None
+    outgoing = _blocks(A, terms, m, partners(m + step), blocks) if m + step >= 0 else None
+    incoming = _blocks(A, terms, m - step, blocks, partners(m - step)) if m - step >= 0 else None
     return _homology_basis(A.field, m, n, blocks, outgoing, incoming)
 
 
@@ -542,11 +531,10 @@ def induced_chain_map(theta, m):
     return Matrix(theta.target.field, chain_map_apply(theta, m, eye).T)
 
 
-def hh_of_map(theta, m, source_basis=None, target_basis=None):
+def hh_of_map(theta, m):
     """The induced map on degree-m homology, on the canonical bases."""
-    A, B = theta.source, theta.target
-    src = source_basis if source_basis is not None else homology(A, m)
-    tgt = target_basis if target_basis is not None else homology(B, m)
+    B = theta.target
+    src, tgt = homology(theta.source, m), homology(B, m)
     images = chain_map_apply(theta, m, src.representatives)  # one row per rep
     if m >= 1 and boundary_apply(B, m, images).any():
         raise NotACycle("induced image of a cycle is not a cycle")

@@ -154,9 +154,8 @@ def test_acceptance_5_direct_factor():
             if hA.dimension == 0:
                 vacuous += 1  # identity on the zero space, nothing to compute
                 continue
-            hTA = homology(te.algebra, m)
-            up = hh_of_map(te.iota, m, source_basis=hA, target_basis=hTA)
-            down = hh_of_map(te.pi, m, source_basis=hTA, target_basis=hA)
+            up = hh_of_map(te.iota, m)
+            down = hh_of_map(te.pi, m)
             ok = ok and (down @ up == Matrix.identity(A.field, hA.dimension))
             checked += 1
     assert verdict(

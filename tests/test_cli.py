@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -504,18 +505,37 @@ def test_corpus_writer_reproduces_bundled_files(tmp_path):
 # -- the benchmark's tracer ----------------------------------------------------------
 
 
+def _tracer_layers():
+    """bench/tracer.py's map from span name to layer, read without running it."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", os.path.join(ROOT, "bench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.LAYER_OF
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, layers",
     [
-        ["kappa", corpus("dual_f3"), "--m", "1", "--n", "1", "--hat"],
-        ["degree0", corpus("m2_f3"), "--n", "2"],
-        # symmetric, so the build probe also sees coboundaries
-        ["hh", corpus("dual_f3"), "--max-degree", "3"],
+        (
+            ["kappa", corpus("dual_f3"), "--m", "1", "--n", "1", "--hat"],
+            {"cli", "algebra", "fieldlin.rref", "fieldlin.mat_mul", "hochschild.homology"}
+            | {"hochschild.cochain", "kappa"},
+        ),
+        (
+            ["degree0", corpus("m2_f3"), "--n", "2"],
+            {"cli", "algebra", "degree0", "fieldlin.rref", "fieldlin.mat_mul"},
+        ),
+        # symmetric, so hh also reaches the cochain layer (the Gram matrix)
+        (
+            ["hh", corpus("dual_f3"), "--max-degree", "3"],
+            {"cli", "fieldlin.rref", "hochschild.homology", "hochschild.cochain"},
+        ),
     ],
     ids=["kappa", "degree0", "hh"],
 )
-def test_traced_run_matches_untraced(tmp_path, argv):
-    # bench/tracer.py wraps library functions by name; a renamed one breaks it
+def test_traced_run_matches_untraced(tmp_path, argv, layers):
+    # bench/tracer.py wraps library functions by name; a renamed one breaks
+    # it, and one it no longer reaches leaves its layer without spans
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     spans = tmp_path / "spans.json"
     tracer = [sys.executable, os.path.join(ROOT, "bench", "tracer.py"), str(spans), "job", "--"]
@@ -526,7 +546,9 @@ def test_traced_run_matches_untraced(tmp_path, argv):
     assert traced.returncode == 0, traced.stderr.decode()[-2000:]
     assert plain.returncode == 0
     assert traced.stdout == plain.stdout
-    assert json.loads(spans.read_text())["spans"]
+    layer_of = _tracer_layers()
+    seen = {layer_of[span[1]] for span in json.loads(spans.read_text())["spans"]}
+    assert layers <= seen, sorted(layers - seen)
 
 
 # -- imports --------------------------------------------------------------------

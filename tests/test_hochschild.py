@@ -450,6 +450,26 @@ def test_block_bases_keep_no_cycles():
     assert held < 2**20, held
 
 
+def test_blocks_are_weight_classes():
+    # each block is one weight class: no classes are merged into wider runs
+    for A, top, _ in _graded_algebras():
+        for m in range(top + 1):
+            for H, cochains in ((homology, False), (cohomology, True)):
+                got = sorted(idx.tolist() for idx, _ in H(A, m).blocks)
+                classes = _weight_classes(A, m + 1, cochains)(m).values()
+                assert got == sorted(idx.tolist() for idx in classes), (A.field, A.dim, m, H.__name__)
+    # UT3 over F3 in degree 4 peaked at 16.7 MiB when classes were merged
+    A = upper_triangular(F3, 3)
+    tracemalloc.start()
+    try:
+        homology(A, 4)
+        cohomology(A, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**20, peak
+
+
 def test_differential_matrices_are_read_only_int64():
     # the narrow buffer a block is built in never leaves the module
     TA = trivial_extension(dual_numbers(F3)).algebra
@@ -603,9 +623,8 @@ def test_hh_pi_after_iota_identity():
             hA = homology(A, m)
             if hA.dimension == 0:
                 continue
-            hTA = homology(te.algebra, m)
-            up = hh_of_map(te.iota, m, source_basis=hA, target_basis=hTA)
-            down = hh_of_map(te.pi, m, source_basis=hTA, target_basis=hA)
+            up = hh_of_map(te.iota, m)
+            down = hh_of_map(te.pi, m)
             assert down @ up == Matrix.identity(A.field, hA.dimension), (name, m)
 
 

@@ -11,14 +11,16 @@ Runs the same `kuelsh` commands from this checkout's `src/` and from
   `hh --max-degree 4 --force`, `kappa --m 1 --n 1`, `kappa --m 1 --n 1 --hat`,
   `kappa --m 0 --n 2 --hat` and `kappa --m 2 --n 1` on every `corpus/*.json`
   of this checkout.  The last one checks degree-2 cocycles and degree-2p
-  cycles on both kappa routes of the symmetric inputs.
+  cycles on both kappa routes of the symmetric inputs;
+* the two large runs `kappa corpus/dual_f3.json --m 7 --n 1 --hat` and
+  `--m 8 --n 1 --hat`, once each, which add about 30 s per tree.
 
 Each child runs with one BLAS thread under a 3 GB RLIMIT_AS, set on the child
 only, and its peak RSS is read from `os.wait4` on both sides.  Prints each
 differing run, then the five largest increases in peak RSS and the five
-largest decreases, then `N runs, D differ`, and exits 1 when D > 0: only
-stdout and exit codes count.  The `bench/` modules are imported, never
-written.
+largest decreases, then the wall time and peak RSS of the two large runs on
+both sides, then `N runs, D differ`, and exits 1 when D > 0: only stdout and
+exit codes count.  The `bench/` modules are imported, never written.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2)
@@ -44,6 +47,10 @@ CORPUS_COMMANDS = (
     ("kappa", "--m", "0", "--n", "2", "--hat"),
     ("kappa", "--m", "2", "--n", "1"),
 )
+WALLS = (
+    ("kappa", "dual_f3.json", "--m", "7", "--n", "1", "--hat"),
+    ("kappa", "dual_f3.json", "--m", "8", "--n", "1", "--hat"),
+)
 MEMORY_LIMIT = 3 * 2**30
 TIMEOUT_S = 600
 
@@ -53,11 +60,13 @@ def _limit_memory():
 
 
 def run(tree, argv, cwd):
-    """(exit code, stdout, peak RSS in MB) of `python -m kuelsh.cli argv` on
-    tree's sources; the child is reaped by `os.wait4` for its rusage."""
+    """(exit code, stdout, peak RSS in MB, wall seconds) of `python -m
+    kuelsh.cli argv` on tree's sources; the child is reaped by `os.wait4` for
+    its rusage."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONHASHSEED="0")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
+    start = time.perf_counter()
     proc = subprocess.Popen(
         [sys.executable, "-m", "kuelsh.cli", *argv],
         env=env,
@@ -74,7 +83,8 @@ def run(tree, argv, cwd):
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)  # a late kill is a no-op
     timer.cancel()
-    return ("timeout" if killed else proc.returncode), out, usage.ru_maxrss / 1024
+    code = "timeout" if killed else proc.returncode
+    return code, out, usage.ru_maxrss / 1024, time.perf_counter() - start
 
 
 def commands(work):
@@ -91,6 +101,7 @@ def commands(work):
             out += [[job.command, paths[job.spec], *job.args] for job in w.jobs]
     for path in sorted(glob.glob(os.path.join(ROOT, "corpus", "*.json"))):
         out += [[cmd[0], path, *cmd[1:]] for cmd in CORPUS_COMMANDS]
+    out += [[cmd, os.path.join(ROOT, "corpus", name), *rest] for cmd, name, *rest in WALLS]
     return out
 
 
@@ -102,12 +113,15 @@ def main(argv=None):
     parent = os.path.abspath(args[0])
     with tempfile.TemporaryDirectory() as work:
         runs = commands(work)
-        differ, peaks = 0, []
-        for cmd in runs:
-            code, out, peak = run(ROOT, cmd, work)
-            parent_code, parent_out, parent_peak = run(parent, cmd, work)
+        differ, peaks, walls = 0, [], []
+        for i, cmd in enumerate(runs):
+            code, out, peak, wall = run(ROOT, cmd, work)
+            parent_code, parent_out, parent_peak, parent_wall = run(parent, cmd, work)
             shown = " ".join(cmd).replace(work + os.sep, "").replace(ROOT + os.sep, "")
             peaks.append((peak - parent_peak, parent_peak, peak, shown))
+            if i >= len(runs) - len(WALLS):
+                before = f"{parent_wall:.1f} s, {parent_peak:.1f} MB"
+                walls.append(f"large run {before} -> {wall:.1f} s, {peak:.1f} MB: {shown}")
             if (code, out) != (parent_code, parent_out):
                 differ += 1
                 what = f"exit {parent_code} -> {code}" if code != parent_code else "stdout"
@@ -115,6 +129,7 @@ def main(argv=None):
         ranked = sorted(peaks, reverse=True)
         for rise, before, after, shown in ranked[:5] + ranked[:-6:-1]:
             print(f"peak RSS {rise:+.1f} MB ({before:.1f} -> {after:.1f}): {shown}")
+        print(*walls, sep="\n")
         print(f"{len(runs)} runs, {differ} differ")
     return 1 if differ else 0
 
