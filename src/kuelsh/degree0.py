@@ -81,7 +81,7 @@ def kulshammer_T(A, n):
 
 def perp(form, W, ambient):
     """{z in ambient : <z, w> = 0 for all w in W}."""
-    G = form.gram if isinstance(form, BilinearForm) else form
+    G = form.gram
     if W.ambient_dim != G.rows or ambient.ambient_dim != G.rows:
         raise DimensionMismatch("form and subspaces must share one ambient space")
     if W.dim == 0:

@@ -154,14 +154,16 @@ class FiniteField:
         self._ENC = p ** np.arange(r, dtype=np.int64)
         dig = (np.arange(q)[:, None] // self._ENC) % p
         self._DIG = dig
-        self._ADD = ((dig[:, None] + dig[None]) % p) @ self._ENC
-        self._NEG = ((-dig) % p) @ self._ENC
+        # int16 like the elimination buffers, since every index is below 512:
+        # a gather through a table is then no wider than the block it updates
+        self._ADD = (((dig[:, None] + dig[None]) % p) @ self._ENC).astype(np.int16)
+        self._NEG = (((-dig) % p) @ self._ENC).astype(np.int16)
         self._SUB = self._ADD[:, self._NEG]
         conv = np.einsum("ai,bj,ijk->abk", dig, dig, fold, optimize=True)
-        self._MUL = (conv % p) @ self._ENC
-        self._INV = np.argmax(self._MUL == 1, axis=1)  # row 0 has no 1: _INV[0] = 0
+        self._MUL = ((conv % p) @ self._ENC).astype(np.int16)
+        self._INV = np.argmax(self._MUL == 1, axis=1).astype(np.int16)  # row 0 has no 1: _INV[0] = 0
         # a^p through the table, then a^{p^s} = (a^{p^{s-1}})^p
-        a = np.arange(q)
+        a = np.arange(q, dtype=np.int16)
         a_p = _power(self.vmul, a, p)
         frob = [a]
         for _ in range(r - 1):

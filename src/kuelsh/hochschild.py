@@ -131,53 +131,30 @@ def _coboundary_terms(A, m):
     yield "jk>jbt:kbt", dict(j=n**m, k=d, b=n, t=d), c[:, 1:], (-1) ** (m + 1)
 
 
-def _concat(blocks):
-    """The index arrays `blocks` laid end to end, each block's first position
-    there, and at each position the first position of its block."""
-    width = np.array([len(b) for b in blocks], dtype=np.int64)
-    first = np.cumsum(width) - width
-    return np.concatenate([np.zeros(0, np.int64), *blocks]), first, np.repeat(first, width)
-
-
 def _blocks(A, terms, m, rows, cols):
     """The blocks on rows[b] x cols[b], pairs of ascending index arrays, of the
     degree-m differential whose terms `terms(A, m)` yields, one at a time.
 
     Every row that a column of cols[b] reaches must lie in rows[b]: the whole
-    index ranges, or the same weight classes on each side.  Each term's nonzero
-    entries are found once, for the columns of all blocks; each block is an
+    index ranges, or the same weight classes on each side.  Each block is an
     owned array, allocated in the narrowest integer type in which its
     elimination is exact when the generator reaches it, and filled term by
-    term.
+    term from the nonzero entries of its own columns.
     """
     F = A.field
-    every, first, offset = _concat(cols)
-    flat, _, top = _concat(rows)
-    # index maps: a row index to its place in its block, a column's position
-    # in `every` to its place in its block
-    place = np.zeros(flat.max(initial=-1) + 1, dtype=np.int64)
-    place[flat] = np.arange(len(flat)) - top
-    parts = []
-    if len(every) and len(flat):
-        for spec, sizes, values, sign in terms(A, m):
-            at, row, vals = _entries(every, spec, sizes, values)
-            cut = np.append(np.searchsorted(at, first), len(at)).tolist()
-            parts.append((place[row], at - offset[at], vals, cut, F.vadd if sign > 0 else F.vsub))
 
-    def block(b, r, c):
+    def block(r, c):
         out = _zeros(len(r), len(c), _elimination_dtype(F, len(r), len(c)))
-        for i, j, vals, cut, op in parts:
-            if cut[b] < cut[b + 1]:
-                span = slice(cut[b], cut[b + 1])
-                i, j = i[span], j[span]
-                out[i, j] = op(out[i, j], vals[span])
-        if b == len(cols) - 1:  # no entry is read again
-            parts.clear()
+        if out.size:
+            for spec, sizes, values, sign in terms(A, m):
+                j, row, vals = _entries(c, spec, sizes, values)
+                i = np.searchsorted(r, row)
+                out[i, j] = F.vadd(out[i, j], vals) if sign > 0 else F.vsub(out[i, j], vals)
         return out
 
     # no local holds a block while the generator waits: its consumer owns it
-    for b, (r, c) in enumerate(zip(rows, cols)):
-        yield block(b, r, c)
+    for r, c in zip(rows, cols):
+        yield block(r, c)
 
 
 def _slot_mul(F, M, x, before, after):
@@ -358,19 +335,19 @@ def _assemble(n, parts):
 
 
 def _cycles(F, k, maps):
-    """The kernel in F^k of the next map `maps` yields (None, or no rows, is a
+    """The kernel in F^k of the next map `maps` yields (one with no rows is a
     zero map), from one right-to-left elimination of that array in place."""
-    R = None if maps is None else next(maps)
-    if R is None or not R.size:
+    R = next(maps)
+    if not R.size:
         return Subspace.full(F, k)
     return _kernel(F, R)
 
 
 def _boundaries(F, k, maps):
-    """The image in F^k of the next map `maps` yields (None, or no columns, is
-    a zero map), from one elimination of its transpose."""
-    B = None if maps is None else next(maps)
-    if B is None or not B.size:
+    """The image in F^k of the next map `maps` yields (one with no columns is a
+    zero map), from one elimination of its transpose."""
+    B = next(maps)
+    if not B.size:
         return Subspace(F, k)
     B = B.T.copy()  # only the copy is reduced: the map itself goes now
     return Subspace._of_buffer(F, k, B)
@@ -381,7 +358,7 @@ def _homology_basis(F, m, n, blocks, outgoing, incoming):
 
     `blocks` are ascending index arrays that no differential connects to one
     another; `outgoing` and `incoming` yield the maps leaving and entering
-    each, restricted to it, and are read in that order (None is a zero map).
+    each, restricted to it, and are read in that order.
     A block's cycles are the kernel of the first, its boundaries the row
     space of the second transposed, its representatives the quotient basis,
     each reduced to basis rows before the next map is built.  A block keeps
@@ -481,12 +458,12 @@ def _graded_homology(A, m, n, terms, step):
     here, none = classes(m), np.zeros(0, np.int64)
     blocks = list(here.values())
 
-    def partners(k):
-        there = classes(k)
+    def partners(k):  # none below degree 0
+        there = classes(k) if k >= 0 else {}
         return [there.get(w, none) for w in here]
 
-    outgoing = _blocks(A, terms, m, partners(m + step), blocks) if m + step >= 0 else None
-    incoming = _blocks(A, terms, m - step, blocks, partners(m - step)) if m - step >= 0 else None
+    outgoing = _blocks(A, terms, m, partners(m + step), blocks)
+    incoming = _blocks(A, terms, m - step, blocks, partners(m - step))
     return _homology_basis(A.field, m, n, blocks, outgoing, incoming)
 
 

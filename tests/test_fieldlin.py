@@ -4,6 +4,7 @@ import io
 import itertools
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -644,6 +645,21 @@ def test_rref_generic_matches_reference(F):
     rng = random.Random(F.q)
     for data, rank in kernel_cases(F, rng):
         check_kernel(F, lambda d: _rref_generic(F, d), data, rank)
+
+
+def test_rref_generic_update_stays_narrow():
+    # the operation tables are int16, like the buffer, so a pivot's update
+    # gathers no int64 temporaries the size of the trailing block (5.6 MiB
+    # above this 0.7 MiB buffer with int64 tables)
+    R = np.random.default_rng(9).integers(0, F9.q, size=(600, 600)).astype(np.int16)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _rref_generic(F9, R)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, peak
 
 
 def test_rref_largest_prime_matches_reference():

@@ -12,13 +12,15 @@ Runs the same `kuelsh` commands from this checkout's `src/` and from
   `kappa --m 0 --n 2 --hat` and `kappa --m 2 --n 1` on every `corpus/*.json`
   of this checkout.  The last one checks degree-2 cocycles and degree-2p
   cycles on both kappa routes of the symmetric inputs;
-* the two large runs `kappa corpus/dual_f3.json --m 7 --n 1 --hat` and
-  `--m 8 --n 1 --hat`, once each, which add about 30 s per tree.
+* the three large runs `kappa corpus/dual_f3.json --m 7 --n 1 --hat`,
+  `--m 8 --n 1 --hat` and `kappa corpus/dual_f2.json --m 8 --n 1 --hat`,
+  once each, which add about 7 s per tree.  The last one runs the packed
+  GF(2) elimination on T(k[eps])'s degree-8 blocks.
 
 Each child runs with one BLAS thread under a 3 GB RLIMIT_AS, set on the child
 only, and its peak RSS is read from `os.wait4` on both sides.  Prints each
 differing run, then the five largest increases in peak RSS and the five
-largest decreases, then the wall time and peak RSS of the two large runs on
+largest decreases, then the wall time and peak RSS of the large runs on
 both sides, then `N runs, D differ`, and exits 1 when D > 0: only stdout and
 exit codes count.  The `bench/` modules are imported, never written.
 """
@@ -50,6 +52,7 @@ CORPUS_COMMANDS = (
 WALLS = (
     ("kappa", "dual_f3.json", "--m", "7", "--n", "1", "--hat"),
     ("kappa", "dual_f3.json", "--m", "8", "--n", "1", "--hat"),
+    ("kappa", "dual_f2.json", "--m", "8", "--n", "1", "--hat"),
 )
 MEMORY_LIMIT = 3 * 2**30
 TIMEOUT_S = 600
