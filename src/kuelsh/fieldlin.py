@@ -556,17 +556,29 @@ def _narrow_copy(field, data):
     return data.astype(_elimination_dtype(field, *data.shape), order="C")
 
 
-def _kernel(field, R):
-    """The kernel of the matrix in the owned buffer R, reduced right to left in
-    place: each pivot row i is then zero right of its pivot q_i, so the vectors
-    e_f - sum_i R[i, f] e_{q_i}, f free, lead at f and are its RREF basis."""
+def _rref_right(field, R):
+    """Reduce the buffer R in place right to left, the RREF of its columns in
+    reverse order; returns the pivots q_i, one per nonzero row i, descending.
+    Row i is then 1 at q_i, zero right of it and zero at every other pivot."""
     n = R.shape[1]
-    pivots = [n - 1 - j for j in _rref(field, R[:, ::-1])]
-    free = sorted(set(range(n)) - set(pivots))
-    K = np.zeros((len(free), n), dtype=np.int64)
+    return [n - 1 - j for j in _rref(field, R[:, ::-1])]
+
+
+def _null_rows(field, R, pivots, free):
+    """The kernel vectors e_f - sum_i R[i, f] e_{q_i} of a matrix reduced right
+    to left into R with pivots q_i, one int64 row per free column f.  Each
+    leads at f; over all free columns, in order, they are the kernel's RREF."""
+    K = np.zeros((len(free), R.shape[1]), dtype=np.int64)
     K[np.arange(len(free)), free] = 1
     K[:, pivots] = field.vneg(R[: len(pivots)][:, free].T)
-    return Subspace._of_buffer(field, n, K, free)
+    return K
+
+
+def _kernel(field, R):
+    """The kernel of the matrix in the owned buffer R, reduced in place."""
+    pivots = _rref_right(field, R)
+    free = sorted(set(range(R.shape[1])) - set(pivots))
+    return Subspace._of_buffer(field, R.shape[1], _null_rows(field, R, pivots, free), free)
 
 
 class RowReduction:

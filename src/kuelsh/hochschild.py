@@ -15,14 +15,17 @@ every differential preserves it: it maps each weight class into the class
 of the same weight in the next degree.  `homology` and `cohomology` split
 the degree-m space into its weight classes and build only the blocks of the
 outgoing and incoming maps on each, in the narrowest integer type in which
-its elimination is exact (see `fieldlin`).
-A `HomologyBasis` keeps each block's boundaries in the block's own
-coordinates and lays out only the representatives in F^n; the cycles, their
-span, are derived.  The blocks' RREFs have disjoint supports, so the global
-boundaries, their union sorted by pivot and the RREF of the whole
-differential, are assembled only on request.  A dense basis has one block,
-the whole differential, which `boundary_matrix` and `coboundary_matrix`
-build with the same code and return as an int64 `Matrix`.
+its elimination is exact (see `fieldlin`).  No cycle basis is built: a
+block's representatives are read off the right-to-left echelon form of its
+outgoing map, and one product checks that its boundaries are cycles.
+A `HomologyBasis` keeps each block's boundary RREF in the block's own
+coordinates, one byte an entry up to q = 256, and lays out only the
+representatives in F^n; the cycles, their span, are derived.  The blocks'
+RREFs have disjoint supports, so the global boundaries, their union sorted
+by pivot and the RREF of the whole differential, are assembled as int64
+only on request.  A dense basis has one block, the whole differential,
+which `boundary_matrix` and `coboundary_matrix` build with the same code
+and return as an int64 `Matrix`.
 
 The boundary b and the coboundary delta are defined once, by the terms
 `_boundary_terms` and `_coboundary_terms` yield: `_entries` evaluates them
@@ -40,9 +43,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fieldlin
 from .algebra import BilinearForm
-from .errors import AlgebraMismatch, DimensionMismatch, NotACocycle, NotACycle, NotUnital
-from .fieldlin import Matrix, Subspace, _as_rows, _elimination_dtype, _in_range, _kernel, _power
+from .errors import (
+    AlgebraMismatch, DimensionMismatch, NotACocycle, NotACycle, NotASubspace, NotUnital,
+)
+from .fieldlin import (
+    Matrix, Subspace, _as_rows, _elimination_dtype, _in_range, _null_rows, _power, _rref_right,
+)
 
 
 def chain_dim(A, m):
@@ -285,20 +293,26 @@ def coboundary_apply(f):
 
 @dataclass
 class HomologyBasis:
+    """Canonical homology basis in degree m of an n-dimensional space.
+
+    `blocks` holds one (idx, rows, pivots) triple per weight block: the RREF
+    of the block's boundaries on its coordinates idx, stored in the narrowest
+    unsigned type that holds a scalar index, and their pivots.  Only the
+    representatives, an int64 RREF, are laid out in F^n."""
+
     degree: int
     representatives: np.ndarray  # read-only (dimension, n) RREF block of rows
     field: object
-    blocks: list  # (idx, boundaries): each weight block's boundary RREF in F^len(idx)
+    blocks: list  # (idx, rows, pivots): each weight block's boundary RREF in F^len(idx)
 
     dimension = property(lambda self: len(self.representatives))
 
-    # the global RREFs in F^n, anew on each read: the boundaries assembled by
-    # pivot, the cycles reduced from them and the representatives
+    # the global int64 RREFs in F^n, anew on each read: the boundaries
+    # assembled by pivot, the cycles reduced from them and the representatives
     @property
     def boundaries(self):
         n = self.representatives.shape[1]
-        parts = [(idx, b.basis.data, list(b.pivots)) for idx, b in self.blocks]
-        return Subspace._of_buffer(self.field, n, *_assemble(n, parts))
+        return Subspace._of_buffer(self.field, n, *_assemble(n, self.blocks))
 
     @property
     def cycles(self):
@@ -310,13 +324,16 @@ class HomologyBasis:
         for a (k, n) block of cycles.
 
         The representatives are in RREF and reduced modulo the boundaries, so
-        the class of v is w, v reduced in each block by its boundaries, and its
-        coordinates are w read at the representatives' pivots.
+        the class of v is w, v reduced in each block by its boundaries (one
+        product per block), and its coordinates are w at the representatives'
+        pivots.
         """
         F, reps = self.field, self.representatives
         w = _as_rows(F, v, reps.shape[1]).copy()
-        for idx, boundaries in self.blocks:
-            w[..., idx] = boundaries.reduce(w[..., idx])
+        for idx, rows, pivots in self.blocks:
+            if len(rows):
+                x = w[..., idx]
+                w[..., idx] = F.vsub(x, F.mat_mul(x[..., pivots], rows))
         coords = w[..., [np.flatnonzero(r)[0] for r in reps]]
         if F.vsub(w, F.mat_mul(coords, reps)).any():
             raise NotACycle("vector is not a cycle modulo boundaries")
@@ -334,43 +351,36 @@ def _assemble(n, parts):
     return out, pivots.tolist()
 
 
-def _cycles(F, k, maps):
-    """The kernel in F^k of the next map `maps` yields (one with no rows is a
-    zero map), from one right-to-left elimination of that array in place."""
-    R = next(maps)
-    if not R.size:
-        return Subspace.full(F, k)
-    return _kernel(F, R)
-
-
-def _boundaries(F, k, maps):
-    """The image in F^k of the next map `maps` yields (one with no columns is a
-    zero map), from one elimination of its transpose."""
-    B = next(maps)
-    if not B.size:
-        return Subspace(F, k)
-    B = B.T.copy()  # only the copy is reduced: the map itself goes now
-    return Subspace._of_buffer(F, k, B)
-
-
 def _homology_basis(F, m, n, blocks, outgoing, incoming):
     """Degree-m homology on an n-dimensional space, one block at a time.
 
     `blocks` are ascending index arrays that no differential connects to one
     another; `outgoing` and `incoming` yield the maps leaving and entering
-    each, restricted to it, and are read in that order.
-    A block's cycles are the kernel of the first, its boundaries the row
-    space of the second transposed, its representatives the quotient basis,
-    each reduced to basis rows before the next map is built.  A block keeps
-    its boundaries; only the representatives are laid out in F^n, by pivot.
+    each, restricted to it, and are read in that order.  A map with no rows
+    or no columns is a zero map and is not eliminated.
+    The outgoing map is reduced right to left in place, to rows R with pivots
+    q_i: the cycles' RREF rows are e_f - sum_i R[i, f] e_{q_i}, one per free
+    column f, and are never built.  The incoming map is reduced transposed,
+    to the boundaries' RREF rows B.  The boundaries lie in the cycles iff
+    R B^T = 0, one product; the representatives are the cycles' rows at the
+    free columns that are not boundary pivots, and those columns are their
+    pivots.  A block keeps only B, one byte an entry up to q = 256, and its
+    pivots; the representatives are laid out in F^n, by pivot.
     """
+    narrow = np.min_scalar_type(F.q - 1)
     parts, rep = [], []
     for idx in blocks:
-        cycles = _cycles(F, len(idx), outgoing)
-        boundaries = _boundaries(F, len(idx), incoming)
-        reps = cycles.quotient_basis(boundaries).data
-        parts.append((idx, boundaries))
-        rep.append((idx, reps, (reps != 0).argmax(axis=1)))
+        R = next(outgoing)
+        q = _rref_right(F, R) if R.size else []
+        R = R[: len(q)].copy()  # frees the map's buffer
+        B = next(incoming).T.copy()  # only the copy is reduced: the map goes now
+        pivots = fieldlin._rref(F, B) if B.size else []
+        B = B[: len(pivots)].astype(narrow)
+        if len(R) and len(B) and F.mat_mul(R, B.T).any():
+            raise NotASubspace("quotient requires the second space inside the first")
+        keep = sorted(set(range(len(idx))) - set(q) - set(pivots))
+        parts.append((idx, B, np.array(pivots, dtype=np.int64)))
+        rep.append((idx, _null_rows(F, R, q, keep), keep))
     reps = _assemble(n, rep)[0]
     reps.setflags(write=False)
     return HomologyBasis(m, reps, F, parts)

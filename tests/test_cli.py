@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import kuelsh.cli
 import kuelsh.kappa
 from kuelsh.algebra import algebra_to_json
-from kuelsh.catalog import dual_numbers, write_corpus
+from kuelsh.catalog import dual_numbers, full_matrix_algebra, write_corpus
 from kuelsh.cli import main
 from kuelsh.fieldlin import FiniteField
 
@@ -101,6 +102,35 @@ def test_validate_large_reducible_extension_exits_at_once(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stdout == "" and "out of scope" in proc.stderr
+
+
+def test_module_run_ends_with_mains_exit_code_and_whole_report(tmp_path, capsys):
+    # `python -m kuelsh.cli` flushes stdout and stderr and ends with
+    # os._exit(main()), skipping interpreter teardown: the exit code and every
+    # byte of the output are main's, also for a report larger than a pipe's
+    # buffer (a 16-dimensional non-associative table, about 110 KB of
+    # violations)
+    doc = algebra_to_json(full_matrix_algebra(FiniteField(3), 4))
+    rng = random.Random(0)
+    doc["structure_constants"] = [
+        [[rng.randrange(3) for _ in row] for row in plane] for plane in doc["structure_constants"]
+    ]
+    bad = tmp_path / "nonassociative.json"
+    bad.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("PYTHONUNBUFFERED", None)  # block-buffered pipes, as by default
+    for argv, code, size in (
+        (["validate", corpus("dual_f3")], 0, 80),
+        (["validate", str(bad)], 1, 100_000),
+        (["validate", str(tmp_path / "missing.json")], 2, 0),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kuelsh.cli", *argv], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv), argv
+        assert proc.returncode == code and len(proc.stdout) >= size
+        assert (proc.stderr != "") == (code == 2)
 
 
 def _document(name):

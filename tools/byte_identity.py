@@ -12,10 +12,14 @@ Runs the same `kuelsh` commands from this checkout's `src/` and from
   `kappa --m 0 --n 2 --hat` and `kappa --m 2 --n 1` on every `corpus/*.json`
   of this checkout.  The last one checks degree-2 cocycles and degree-2p
   cycles on both kappa routes of the symmetric inputs;
-* the three large runs `kappa corpus/dual_f3.json --m 7 --n 1 --hat`,
-  `--m 8 --n 1 --hat` and `kappa corpus/dual_f2.json --m 8 --n 1 --hat`,
-  once each, which add about 7 s per tree.  The last one runs the packed
-  GF(2) elimination on T(k[eps])'s degree-8 blocks.
+* the four large runs `kappa corpus/dual_f3.json --m 7 --n 1 --hat`,
+  `--m 8 --n 1 --hat`, `kappa corpus/dual_f2.json --m 8 --n 1 --hat` and
+  `kappa corpus/ut3_f3.json --m 2 --n 1 --hat`, once each, which add about
+  30 s per tree.  The third runs the packed GF(2) elimination on T(k[eps])'s
+  degree-8 blocks; the last builds HH_6 of UT3 over F3, which peaks at about
+  1.4 GB and which a tree whose homology builds each block's int64 cycle
+  basis cannot finish under the 3 GB limit (it exits 1, so that run
+  differs).
 
 Each child runs with one BLAS thread under a 3 GB RLIMIT_AS, set on the child
 only, and its peak RSS is read from `os.wait4` on both sides.  Prints each
@@ -53,6 +57,7 @@ WALLS = (
     ("kappa", "dual_f3.json", "--m", "7", "--n", "1", "--hat"),
     ("kappa", "dual_f3.json", "--m", "8", "--n", "1", "--hat"),
     ("kappa", "dual_f2.json", "--m", "8", "--n", "1", "--hat"),
+    ("kappa", "ut3_f3.json", "--m", "2", "--n", "1", "--hat"),
 )
 MEMORY_LIMIT = 3 * 2**30
 TIMEOUT_S = 600
