@@ -53,14 +53,17 @@ def ppower_on_HH0(A, n=1):
     return _power(SemilinearMap.compose, mu, n)
 
 
-def _verify_well_defined(A, ka, qmap, trials=100):
+_SEED, _TRIALS = 2, 100  # the fixed draws of `_verify_well_defined`
+
+
+def _verify_well_defined(A, ka, qmap):
     if ka.dim == 0:
         return
     F, d = A.field, A.dim
-    rng = random.Random(2)
+    rng = random.Random(_SEED)
     # one row per trial: x's d coordinates, then the commutator's ka.dim
     draws = np.array(
-        [[rng.randrange(F.q) for _ in range(d + ka.dim)] for _ in range(trials)],
+        [[rng.randrange(F.q) for _ in range(d + ka.dim)] for _ in range(_TRIALS)],
         dtype=np.int64,
     )
     x, c = draws[:, :d], ka.lift(draws[:, d:])

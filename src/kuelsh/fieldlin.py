@@ -763,12 +763,13 @@ class Subspace:
 
         Only valid when self is the full ambient space.  The representatives
         are in RREF and reduced modulo other, so the class of x is
-        other.reduce(x), and its coordinates are that read at their pivots.
+        other.reduce(x), and its coordinates are that read at their pivots,
+        self's pivots that other lacks.
         """
         if self.dim != self.ambient_dim:
             raise NotASubspace("quotient_map is defined on the full ambient space")
-        reps = self.quotient_basis(other)
-        lead = [np.flatnonzero(r)[0] for r in reps.data]
+        reps, lacking = self.quotient_basis(other), set(other.pivots)
+        lead = [q for q in self.pivots if q not in lacking]
         reduced = other.reduce(np.eye(self.ambient_dim, dtype=np.int64))
         return Matrix(self.field, reduced[:, lead].T, copy=False), reps
 

@@ -13,27 +13,30 @@ grading, found by an exact integer nullspace) give a chain (i_0, .., i_m)
 the weight sum w_{i_t} and a cochain (J, k) the weight w_k - sum w_J, and
 every differential preserves it: it maps each weight class into the class
 of the same weight in the next degree.  `homology` and `cohomology` split
-the degree-m space into its weight classes and build only the blocks of the
-outgoing and incoming maps on each, in the narrowest integer type in which
-its elimination is exact (see `fieldlin`).  No cycle basis is built: a
-block's representatives are read off the right-to-left echelon form of its
-outgoing map, and one product checks that its boundaries are cycles.
-A `HomologyBasis` keeps each block's boundary RREF in the block's own
-coordinates, one byte an entry up to q = 256, and lays out only the
-representatives in F^n; the cycles, their span, are derived.  The blocks'
-RREFs have disjoint supports, so the global boundaries, their union sorted
-by pivot and the RREF of the whole differential, are assembled as int64
-only on request.  A dense basis has one block, the whole differential,
-which `boundary_matrix` and `coboundary_matrix` build with the same code
-and return as an int64 `Matrix`.
+the degree-m space into its weight classes and, in one loop over them,
+build only the blocks of the outgoing and incoming maps on each, in the
+narrowest integer type in which its elimination is exact (see `fieldlin`).
+No cycle basis is built: a block's representatives are read off the
+right-to-left echelon form of its outgoing map, and one product checks that
+its boundaries are cycles.  A `HomologyBasis` keeps each block's boundary
+RREF in the block's own coordinates, one byte an entry up to q = 256, and
+lays out only the representatives in F^n, with their pivots; the cycles,
+their span, are derived.  The blocks' RREFs have disjoint supports, so the
+global boundaries, their union sorted by pivot and the RREF of the whole
+differential, are assembled as int64 only on request.  A dense basis has
+one block, the whole differential, which `boundary_matrix` and
+`coboundary_matrix` build with the same code and return as an int64
+`Matrix`.
 
 The boundary b and the coboundary delta are defined once, by the terms
-`_boundary_terms` and `_coboundary_terms` yield: `_entries` evaluates them
-as matrix blocks, `_apply` on a block of rows, one `FiniteField.mat_mul` per
-term.  Chain maps, cup products, pairing vectors and Gram matrices are slot
-contractions: the block is reshaped so that the slot being multiplied is one
-matrix axis, contracted with the structure constants in one mat_mul, and
-reshaped back.  All of it is exact over prime and extension fields alike.
+`_boundary_terms` and `_coboundary_terms` yield.  One list of a
+differential's terms, made once per call, feeds both `_block`, which fills
+a block from each term's `_entries`, and `_apply`, which acts on a block of
+rows with one `FiniteField.mat_mul` per term.  Chain maps, cup products,
+pairing vectors and Gram matrices are slot contractions: the block is
+reshaped so that the slot being multiplied is one matrix axis, contracted
+with the structure constants in one mat_mul, and reshaped back.  All of it
+is exact over prime and extension fields alike.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ def _apply(F, terms, X):
 
 
 def _boundary_terms(A, m):
-    """The terms of the bar boundary b_m, m >= 1, for `_entries` and `_apply`."""
+    """The terms of the bar boundary b_m, m >= 1, for `_block` and `_apply`."""
     d, c, n = A.dim, A.const, A.dim - 1
     rest = n ** (m - 1)
     # (a_0 a_1) (x) a_2 .. a_m, the whole product
@@ -125,7 +128,7 @@ def _boundary_terms(A, m):
 
 
 def _coboundary_terms(A, m):
-    """The terms of the Hochschild coboundary delta_m, m >= 0, for `_entries`
+    """The terms of the Hochschild coboundary delta_m, m >= 0, for `_block`
     and `_apply`; a cochain index is (J, k), the value's coordinate k at the
     arguments J."""
     d, c, n = A.dim, A.const, A.dim - 1
@@ -139,30 +142,21 @@ def _coboundary_terms(A, m):
     yield "jk>jbt:kbt", dict(j=n**m, k=d, b=n, t=d), c[:, 1:], (-1) ** (m + 1)
 
 
-def _blocks(A, terms, m, rows, cols):
-    """The blocks on rows[b] x cols[b], pairs of ascending index arrays, of the
-    degree-m differential whose terms `terms(A, m)` yields, one at a time.
-
-    Every row that a column of cols[b] reaches must lie in rows[b]: the whole
-    index ranges, or the same weight classes on each side.  Each block is an
-    owned array, allocated in the narrowest integer type in which its
-    elimination is exact when the generator reaches it, and filled term by
-    term from the nonzero entries of its own columns.
+def _block(F, terms, rows, cols):
+    """The block on rows x cols, ascending index arrays, of the differential
+    whose terms (see `_labels`) the list `terms` holds, the list `_apply`
+    takes.  Every row that a column of cols reaches must lie in rows: the
+    whole index ranges, or the same weight class on each side.  The block is
+    an owned array in the narrowest integer type in which its elimination is
+    exact, filled term by term from the nonzero entries of its own columns.
     """
-    F = A.field
-
-    def block(r, c):
-        out = _zeros(len(r), len(c), _elimination_dtype(F, len(r), len(c)))
-        if out.size:
-            for spec, sizes, values, sign in terms(A, m):
-                j, row, vals = _entries(c, spec, sizes, values)
-                i = np.searchsorted(r, row)
-                out[i, j] = F.vadd(out[i, j], vals) if sign > 0 else F.vsub(out[i, j], vals)
-        return out
-
-    # no local holds a block while the generator waits: its consumer owns it
-    for r, c in zip(rows, cols):
-        yield block(r, c)
+    out = _zeros(len(rows), len(cols), _elimination_dtype(F, len(rows), len(cols)))
+    if out.size:
+        for spec, sizes, values, sign in terms:
+            j, row, vals = _entries(cols, spec, sizes, values)
+            i = np.searchsorted(rows, row)
+            out[i, j] = F.vadd(out[i, j], vals) if sign > 0 else F.vsub(out[i, j], vals)
+    return out
 
 
 def _slot_mul(F, M, x, before, after):
@@ -194,11 +188,11 @@ def _disk_cache_path(A, kind, m):
 
 
 def _whole(A, terms, m, rows, cols):
-    """The whole rows x cols differential as an int64 Matrix: `_blocks` on all
-    indices, one block, out of memory before any index array when numpy
-    cannot address it."""
+    """The whole rows x cols differential as an int64 Matrix: `_block` on all
+    indices, out of memory before any index array when numpy cannot address
+    it."""
     _addressable(rows, cols, np.int64)
-    block = next(_blocks(A, terms, m, [np.arange(rows)], [np.arange(cols)]))
+    block = _block(A.field, list(terms(A, m)), np.arange(rows), np.arange(cols))
     return Matrix(A.field, block, copy=False)
 
 
@@ -298,12 +292,13 @@ class HomologyBasis:
     `blocks` holds one (idx, rows, pivots) triple per weight block: the RREF
     of the block's boundaries on its coordinates idx, stored in the narrowest
     unsigned type that holds a scalar index, and their pivots.  Only the
-    representatives, an int64 RREF, are laid out in F^n."""
+    representatives, an int64 RREF, are laid out in F^n, with their pivots."""
 
     degree: int
     representatives: np.ndarray  # read-only (dimension, n) RREF block of rows
     field: object
     blocks: list  # (idx, rows, pivots): each weight block's boundary RREF in F^len(idx)
+    pivots: list  # the representatives' leading columns, ascending
 
     dimension = property(lambda self: len(self.representatives))
 
@@ -334,7 +329,7 @@ class HomologyBasis:
             if len(rows):
                 x = w[..., idx]
                 w[..., idx] = F.vsub(x, F.mat_mul(x[..., pivots], rows))
-        coords = w[..., [np.flatnonzero(r)[0] for r in reps]]
+        coords = w[..., self.pivots]
         if F.vsub(w, F.mat_mul(coords, reps)).any():
             raise NotACycle("vector is not a cycle modulo boundaries")
         return coords
@@ -349,41 +344,6 @@ def _assemble(n, parts):
     for idx, rows, p in parts:
         out[np.searchsorted(pivots, idx[p])[:, None], idx] = rows
     return out, pivots.tolist()
-
-
-def _homology_basis(F, m, n, blocks, outgoing, incoming):
-    """Degree-m homology on an n-dimensional space, one block at a time.
-
-    `blocks` are ascending index arrays that no differential connects to one
-    another; `outgoing` and `incoming` yield the maps leaving and entering
-    each, restricted to it, and are read in that order.  A map with no rows
-    or no columns is a zero map and is not eliminated.
-    The outgoing map is reduced right to left in place, to rows R with pivots
-    q_i: the cycles' RREF rows are e_f - sum_i R[i, f] e_{q_i}, one per free
-    column f, and are never built.  The incoming map is reduced transposed,
-    to the boundaries' RREF rows B.  The boundaries lie in the cycles iff
-    R B^T = 0, one product; the representatives are the cycles' rows at the
-    free columns that are not boundary pivots, and those columns are their
-    pivots.  A block keeps only B, one byte an entry up to q = 256, and its
-    pivots; the representatives are laid out in F^n, by pivot.
-    """
-    narrow = np.min_scalar_type(F.q - 1)
-    parts, rep = [], []
-    for idx in blocks:
-        R = next(outgoing)
-        q = _rref_right(F, R) if R.size else []
-        R = R[: len(q)].copy()  # frees the map's buffer
-        B = next(incoming).T.copy()  # only the copy is reduced: the map goes now
-        pivots = fieldlin._rref(F, B) if B.size else []
-        B = B[: len(pivots)].astype(narrow)
-        if len(R) and len(B) and F.mat_mul(R, B.T).any():
-            raise NotASubspace("quotient requires the second space inside the first")
-        keep = sorted(set(range(len(idx))) - set(q) - set(pivots))
-        parts.append((idx, B, np.array(pivots, dtype=np.int64)))
-        rep.append((idx, _null_rows(F, R, q, keep), keep))
-    reps = _assemble(n, rep)[0]
-    reps.setflags(write=False)
-    return HomologyBasis(m, reps, F, parts)
 
 
 def _grading(A):
@@ -458,30 +418,54 @@ def _weight_classes(A, top, cochains):
     return classes
 
 
-def _graded_homology(A, m, n, terms, step):
-    """`_homology_basis` in degree m with one block per weight class, and the
-    differentials `terms` leaving them (to degree m + step) and entering them
-    (from degree m - step) restricted to each.  A differential maps each
-    class into the class with the same key, so the split is exact; a class
-    with no partner there meets a zero map, an empty index array."""
-    classes = _weight_classes(A, m + 1, step > 0)
-    here, none = classes(m), np.zeros(0, np.int64)
-    blocks = list(here.values())
+def _homology_basis(A, m, terms, step):
+    """Degree-m homology of the complex whose differential from degree k to
+    k + step has the terms `terms(A, k)`, one weight class at a time.
 
-    def partners(k):  # none below degree 0
-        there = classes(k) if k >= 0 else {}
-        return [there.get(w, none) for w in here]
-
-    outgoing = _blocks(A, terms, m, partners(m + step), blocks)
-    incoming = _blocks(A, terms, m - step, blocks, partners(m - step))
-    return _homology_basis(A.field, m, n, blocks, outgoing, incoming)
+    The term lists of the maps leaving degree m and entering it from degree
+    m - step are made once, where that map exists, and `_block` builds both
+    restricted to each class, in the order of `_weight_classes`.  Each maps
+    the class into the class of the same key, so the split is exact; a class
+    with no partner there meets a zero map, a block with no rows or no
+    columns, which is not eliminated.
+    The outgoing map is reduced right to left in place, to rows R with pivots
+    q_i: the cycles' RREF rows are e_f - sum_i R[i, f] e_{q_i}, one per free
+    column f, and are never built.  The incoming map is reduced transposed,
+    to the boundaries' RREF rows B.  The boundaries lie in the cycles iff
+    R B^T = 0, one product; the representatives are the cycles' rows at the
+    free columns that are not boundary pivots, and those columns are their
+    pivots.  A block keeps only B, one byte an entry up to q = 256, and its
+    pivots; the representatives are laid out in F^n, by pivot.
+    """
+    F, n, narrow = A.field, chain_dim(A, m), np.min_scalar_type(A.field.q - 1)
+    classes, none = _weight_classes(A, m + 1, step > 0), np.zeros(0, np.int64)
+    up, down = m + step, m - step  # the outgoing map's target, the incoming map's source
+    targets, out = (classes(up), list(terms(A, m))) if up >= 0 else ({}, [])
+    sources, into = (classes(down), list(terms(A, down))) if down >= 0 else ({}, [])
+    parts, rep = [], []
+    for w, idx in classes(m).items():
+        R = _block(F, out, targets.get(w, none), idx)
+        q = _rref_right(F, R) if R.size else []
+        R = R[: len(q)].copy()  # frees the map's buffer
+        # only the transposed copy is reduced: the incoming map goes now
+        B = _block(F, into, idx, sources.get(w, none)).T.copy()
+        pivots = fieldlin._rref(F, B) if B.size else []
+        B = B[: len(pivots)].astype(narrow)
+        if len(R) and len(B) and F.mat_mul(R, B.T).any():
+            raise NotASubspace("quotient requires the second space inside the first")
+        keep = sorted(set(range(len(idx))) - set(q) - set(pivots))
+        parts.append((idx, B, np.array(pivots, dtype=np.int64)))
+        rep.append((idx, _null_rows(F, R, q, keep), keep))
+    reps, leads = _assemble(n, rep)
+    reps.setflags(write=False)
+    return HomologyBasis(m, reps, F, parts, leads)
 
 
 def homology(A, m):
     """HH_m via the normalized bar complex, with canonical representatives."""
     key = ("homology", m)
     if key not in A._cache:
-        A._cache[key] = _graded_homology(A, m, chain_dim(A, m), _boundary_terms, -1)
+        A._cache[key] = _homology_basis(A, m, _boundary_terms, -1)
     return A._cache[key]
 
 
@@ -489,7 +473,7 @@ def cohomology(A, m):
     """HH^m via normalized cochains, with canonical representatives."""
     key = ("cohomology", m)
     if key not in A._cache:
-        A._cache[key] = _graded_homology(A, m, cochain_dim(A, m), _coboundary_terms, 1)
+        A._cache[key] = _homology_basis(A, m, _coboundary_terms, 1)
     return A._cache[key]
 
 

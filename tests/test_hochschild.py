@@ -314,18 +314,17 @@ def test_homology_eliminates_each_differential_once(monkeypatch):
     # its outgoing map has rank, that is when it has both to compare
     TA = trivial_extension(dual_numbers(F3)).algebra
     calls = []
-    rref, mat_mul = fieldlin._rref, FiniteField.mat_mul
-    blocks = hochschild._blocks
+    rref, mat_mul, block = fieldlin._rref, FiniteField.mat_mul, hochschild._block
 
-    def spy_blocks(*args):
-        for M in blocks(*args):
-            calls.append("block" if M.size else "zero")
-            yield M
+    def spy_block(*args):
+        M = block(*args)
+        calls.append("block" if M.size else "zero")
+        return M
 
     monkeypatch.setattr(fieldlin, "_rref", lambda *a: calls.append("rref") or rref(*a))
     monkeypatch.setattr(FiniteField, "mat_mul", lambda *a: calls.append("mul") or mat_mul(*a))
     monkeypatch.setattr(Subspace, "quotient_basis", lambda *a: calls.append("quotient"))
-    monkeypatch.setattr(hochschild, "_blocks", spy_blocks)
+    monkeypatch.setattr(hochschild, "_block", spy_block)
     for m in range(1, 5):
         for H in (homology, cohomology):
             calls.clear()
@@ -398,15 +397,37 @@ def test_zeros_counts_the_bytes_of_its_type(monkeypatch):
 
 
 def _whole_matrix_homology(A, m, cochains):
-    """`_homology_basis` fed the whole differentials, as one block."""
-    if cochains:
-        n, out = cochain_dim(A, m), iter([coboundary_matrix(A, m).data.copy()])
-        into = iter([coboundary_matrix(A, m - 1).data.copy() if m else np.zeros((n, 0), int)])
-    else:
-        n = chain_dim(A, m)
-        out = iter([boundary_matrix(A, m).data.copy() if m else np.zeros((0, n), int)])
-        into = iter([boundary_matrix(A, m + 1).data.copy()])
-    return _homology_basis(A.field, m, n, [np.arange(n)], out, into)
+    """`_homology_basis` under a grading with one weight class, so its one
+    block is each whole differential; nothing is read from or left in the
+    cache of `homology` and `cohomology`."""
+    terms = hochschild._coboundary_terms if cochains else hochschild._boundary_terms
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hochschild, "_grading", lambda A: [()] * A.dim)
+        return _homology_basis(A, m, terms, 1 if cochains else -1)
+
+
+def test_homology_makes_each_term_list_once(monkeypatch):
+    # homology and cohomology make the term list of each differential once
+    # per call, whatever the number of weight blocks; the map leaving degree
+    # 0 of the chains and the map entering degree 0 of the cochains do not
+    # exist, so degree 0 makes one
+    TA = trivial_extension(dual_numbers(F3)).algebra
+    made = []
+    for name in ("_boundary_terms", "_coboundary_terms"):
+        terms = getattr(hochschild, name)
+        spy = lambda A, m, name=name, terms=terms: made.append(name) or terms(A, m)
+        monkeypatch.setattr(hochschild, name, spy)
+    for m in range(5):
+        for H, name in ((homology, "_boundary_terms"), (cohomology, "_coboundary_terms")):
+            made.clear()
+            hb = H(TA, m)
+            assert made == [name] * (1 if m == 0 else 2), (H.__name__, m)
+            assert len(hb.blocks) > 1
+    # a cached basis makes none
+    made.clear()
+    homology(TA, 4)
+    cohomology(TA, 4)
+    assert made == []
 
 
 def _graded_algebras():

@@ -189,19 +189,18 @@ def test_kappa_hat_builds_no_extension_boundary(monkeypatch):
     A = dual_numbers(F3)
     TA = trivial_extension(A).algebra
     built = []
-    blocks = hochschild._blocks
+    terms = hochschild._boundary_terms
 
     def spy(B, m):
         built.append((B is TA, m))
         return boundary_matrix(B, m)
 
-    def spy_blocks(B, terms, m, rows, cols):
-        if terms is hochschild._boundary_terms:
-            built.append((B is TA, m))
-        return blocks(B, terms, m, rows, cols)
+    def spy_terms(B, m):
+        built.append((B is TA, m))
+        return terms(B, m)
 
     monkeypatch.setattr(hochschild, "boundary_matrix", spy)
-    monkeypatch.setattr(hochschild, "_blocks", spy_blocks)
+    monkeypatch.setattr(hochschild, "_boundary_terms", spy_terms)
     monkeypatch.setattr(kuelsh.kappa, "boundary_matrix", spy, raising=False)
     kappa_hat(A, 2, 1)
     assert max(m for on_ta, m in built if on_ta) == 3
