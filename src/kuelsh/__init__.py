@@ -49,13 +49,19 @@ from .hochschild import (
     pairing,
 )
 from .kappa import kappa_compare_symmetric, kappa_hat, kappa_m_n
-from .oracle import (
-    brute_force_Tn,
-    dual_numbers,
-    kunneth_dim_check,
-    periodic_hh_dual_numbers,
-    ta_iso_dual,
-)
+
+# `oracle`, and through it `catalog`, loads on first use of one of its names
+# (PEP 562): no command needs them, and every process compiles what it imports
+_ORACLE = ("brute_force_Tn", "dual_numbers", "kunneth_dim_check", "periodic_hh_dual_numbers", "ta_iso_dual")
+
+
+def __getattr__(name):
+    if name in _ORACLE:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Algebra",

@@ -1,9 +1,10 @@
-"""Exact dense linear algebra over small finite fields F_{p^r}.
+"""Exact linear algebra over small finite fields F_{p^r}: dense matrices,
+and row reduction on dense buffers or sparse rows.
 
 Scalars are integer indices 0..p^r-1; the base-p digits of an index are the
 coefficients (constant term first) of the residue polynomial.  Everything is
-deterministic: row reduction pivots left to right and takes the first nonzero
-row, so identical inputs always produce identical bases and representatives.
+deterministic: every route of row reduction gives the RREF, which is unique,
+so identical inputs always produce identical bases and representatives.
 
 Matrices are dense int64 numpy arrays of scalar indices; operands must share
 one field.  Row reduction works in place on one buffer in the narrowest of
@@ -14,7 +15,8 @@ int64; `row_reduce` and `Subspace` reduce a copy.  Each answer costs one
 elimination, and none where the RREF is known: a kernel is one right-to-left
 reduction, RREF, rank and solver share one of [M | I] and a lone rank one of
 M, V & W is one Zassenhaus reduction, V/W takes V's basis rows at the pivots
-W lacks.  Over F_2 the
+W lacks.  A small buffer, or one with at most 4 nonzeros a row, is reduced
+as sparse rows (see `sparse`), with no numpy call per column.  Over F_2 the dense
 elimination kernel packs each row into uint64 words and clears a pivot column
 with one vectorized XOR of the rows that hit it.  Over odd prime fields it
 updates only the columns right of the pivot and delays reduction mod p: each
@@ -47,6 +49,7 @@ from .errors import (
     NotASubspace,
     ReducibleModulus,
 )
+from .sparse import _entry_rows, _rref_rows, _sparse
 
 _MAX_EXT_ORDER = 512  # extension fields get dense q x q op tables
 _MAX_PRIME = 2**31  # (p-1)^2 + (p-1) < 2^63: int64 products stay exact
@@ -543,7 +546,14 @@ def _rref_prime(p, R):
 
 
 def _rref(field, R):
-    """Reduce the buffer R to its RREF in place; returns the pivot columns."""
+    """Reduce the buffer R to its RREF in place; returns the pivot columns.
+    A block `_sparse` picks is reduced as sparse rows by `_rref_rows`."""
+    if _sparse(*R.shape, np.count_nonzero(R)):
+        i, j = np.nonzero(R)
+        pivots, rows = _rref_rows(field, _entry_rows(field, i, j, R[i, j]), R.shape[1], R.dtype)
+        R[...] = 0
+        R[: len(pivots)] = rows
+        return pivots
     if field.r > 1:
         return _rref_generic(field, R)
     if field.p == 2:

@@ -14,8 +14,14 @@ the weight sum w_{i_t} and a cochain (J, k) the weight w_k - sum w_J, and
 every differential preserves it: it maps each weight class into the class
 of the same weight in the next degree.  `homology` and `cohomology` split
 the degree-m space into its weight classes and, in one loop over them,
-build only the blocks of the outgoing and incoming maps on each, in the
-narrowest integer type in which its elimination is exact (see `fieldlin`).
+reduce only the blocks of the outgoing and incoming maps on each.  With
+more than one class, each map's nonzero entries are made once, a few
+thousand columns at a time, and dealt to the classes (`_dealt`); a block
+that `sparse._sparse` picks, small or with few entries a row, is reduced
+as sparse rows (`sparse._rref_rows`), and any other is filled from its
+entries into a buffer of the narrowest integer type in which its
+elimination is exact (see `fieldlin`).  A dense basis has one class: each
+map is built whole in such a buffer, with no entry list.
 No cycle basis is built: a block's representatives are read off the
 right-to-left echelon form of its outgoing map, and one product checks that
 its boundaries are cycles.  A `HomologyBasis` keeps each block's boundary
@@ -23,16 +29,15 @@ RREF in the block's own coordinates, one byte an entry up to q = 256, and
 lays out only the representatives in F^n, with their pivots; the cycles,
 their span, are derived.  The blocks' RREFs have disjoint supports, so the
 global boundaries, their union sorted by pivot and the RREF of the whole
-differential, are assembled as int64 only on request.  A dense basis has
-one block, the whole differential, which `boundary_matrix` and
-`coboundary_matrix` build with the same code and return as an int64
-`Matrix`.
+differential, are assembled as int64 only on request.  `boundary_matrix`
+and `coboundary_matrix` build the whole differential as a dense basis's
+one block is built and return it as an int64 `Matrix`.
 
 The boundary b and the coboundary delta are defined once, by the terms
 `_boundary_terms` and `_coboundary_terms` yield.  One list of a
-differential's terms, made once per call, feeds both `_block`, which fills
-a block from each term's `_entries`, and `_apply`, which acts on a block of
-rows with one `FiniteField.mat_mul` per term.  Chain maps, cup products,
+differential's terms, made once per call, feeds `_dealt` or `_block`,
+which find each term's nonzero entries by `_entries`, and `_apply`, which
+acts on a block of rows with one `FiniteField.mat_mul` per term.  Chain maps, cup products,
 pairing vectors and Gram matrices are slot contractions: the block is
 reshaped so that the slot being multiplied is one matrix axis, contracted
 with the structure constants in one mat_mul, and reshaped back.  All of it
@@ -52,7 +57,8 @@ from .errors import (
     AlgebraMismatch, DimensionMismatch, NotACocycle, NotACycle, NotASubspace, NotUnital,
 )
 from .fieldlin import (
-    Matrix, Subspace, _as_rows, _elimination_dtype, _in_range, _null_rows, _power, _rref_right,
+    Matrix, Subspace, _as_rows, _elimination_dtype, _entry_rows, _in_range, _null_rows, _power,
+    _rref_right, _rref_rows,
 )
 
 
@@ -418,17 +424,88 @@ def _weight_classes(A, top, cochains):
     return classes
 
 
+def _positions(classes, n):
+    """The position of each of n indices within its weight class."""
+    pos = np.empty(n, np.int64)
+    for idx in classes.values():
+        pos[idx] = np.arange(len(idx))
+    return pos
+
+
+def _dealt(F, terms, classes, pos):
+    """The entries of the differential whose terms the list `terms` holds,
+    dealt to the weight classes of its columns: {key: (col, row, value)},
+    col an entry's position in its column's class and row, by `pos`, its row's
+    position in its class; one entry per place, nonzero, in narrow types.
+    Whole classes are taken together, about `_CHUNK` columns at a time, with
+    one `_entries` call per term; the entries of the terms are summed by one
+    sort, which also orders them by class."""
+    items, dealt = list(classes.items()), {}
+    narrow = np.min_scalar_type(max([len(pos)] + [len(idx) for _, idx in items]))
+    cuts, size = [0], 0
+    for t, (_, idx) in enumerate(items):
+        if size >= _CHUNK:
+            cuts, size = cuts + [t], 0
+        size += len(idx)
+    for batch in (items[a:b] for a, b in zip(cuts, cuts[1:] + [len(items)])):
+        cols = np.concatenate([idx for _, idx in batch])
+        starts = np.cumsum([0] + [len(idx) for _, idx in batch])
+        found = [_entries(cols, *term[:3]) for term in terms]
+        at, row = (np.concatenate([e[t] for e in found]) for t in (0, 1))
+        val = np.concatenate([v if t[3] > 0 else F.vneg(v) for (_, _, v), t in zip(found, terms)])
+        key = at * len(pos) + row
+        order = np.argsort(key, kind="stable")  # the default sort's code costs 0.4 MB of RSS
+        key = key[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        if F.r == 1:
+            val = np.add.reduceat(val[order], first) % F.p
+        else:  # the sum of the base-p digits
+            val = np.add.reduceat(F._DIG[val[order]], first) % F.p @ F._ENC
+        at, row = np.divmod(key[first][val != 0], len(pos))
+        val = val[val != 0].astype(np.min_scalar_type(F.q - 1))
+        col = (at - starts[np.searchsorted(starts, at, "right") - 1]).astype(narrow)
+        row = pos[row].astype(narrow)
+        ends = np.searchsorted(at, starts).tolist()
+        for (w, _), a, b in zip(batch, ends, ends[1:]):
+            dealt[w] = col[a:b], row[a:b], val[a:b]
+    return dealt
+
+
+_CHUNK = 2048
+
+
+def _echelon(F, i, j, v, shape, right):
+    """The RREF of the block of the given shape with entries v at (i, j):
+    its pivots and its rows, reduced right to left if `right` (as by
+    `_rref_right`).  A block `sparse._sparse` picks is reduced as sparse
+    rows by `_rref_rows`, any other in a dense buffer by the dense kernels."""
+    k, n = shape
+    dtype = _elimination_dtype(F, k, n)
+    if not k * n:  # a zero map: nothing to eliminate
+        return [], np.zeros((0, n), dtype)
+    if not fieldlin._sparse(k, n, len(v)):
+        R = _zeros(k, n, dtype)
+        R[i, j] = v
+        pivots = _rref_right(F, R) if right else fieldlin._rref(F, R)
+        return pivots, R
+    if right:
+        j = n - 1 - j.astype(np.int64)
+    pivots, R = _rref_rows(F, _entry_rows(F, i, j, v), n, dtype)
+    return ([n - 1 - q for q in pivots], R[:, ::-1]) if right else (pivots, R)
+
+
 def _homology_basis(A, m, terms, step):
     """Degree-m homology of the complex whose differential from degree k to
     k + step has the terms `terms(A, k)`, one weight class at a time.
 
     The term lists of the maps leaving degree m and entering it from degree
-    m - step are made once, where that map exists, and `_block` builds both
-    restricted to each class, in the order of `_weight_classes`.  Each maps
-    the class into the class of the same key, so the split is exact; a class
-    with no partner there meets a zero map, a block with no rows or no
-    columns, which is not eliminated.
-    The outgoing map is reduced right to left in place, to rows R with pivots
+    m - step are made once, where that map exists.  Each maps a class into
+    the class of the same key, so the split is exact; a class with no partner
+    there meets a zero map, a block with no rows or no columns, which is not
+    eliminated.  With one class, a dense basis, `_block` builds each map
+    whole; with more, each map's entries are made once and dealt to the
+    classes by `_dealt`, and each block is reduced by `_echelon`.
+    The outgoing map is reduced right to left, to rows R with pivots
     q_i: the cycles' RREF rows are e_f - sum_i R[i, f] e_{q_i}, one per free
     column f, and are never built.  The incoming map is reduced transposed,
     to the boundaries' RREF rows B.  The boundaries lie in the cycles iff
@@ -442,14 +519,27 @@ def _homology_basis(A, m, terms, step):
     up, down = m + step, m - step  # the outgoing map's target, the incoming map's source
     targets, out = (classes(up), list(terms(A, m))) if up >= 0 else ({}, [])
     sources, into = (classes(down), list(terms(A, down))) if down >= 0 else ({}, [])
-    parts, rep = [], []
-    for w, idx in classes(m).items():
-        R = _block(F, out, targets.get(w, none), idx)
-        q = _rref_right(F, R) if R.size else []
+    mine = classes(m)
+    graded = len(mine) > 1
+    if graded:
+        out = _dealt(F, out, mine, _positions(targets, chain_dim(A, up))) if out else {}
+        into = _dealt(F, into, sources, _positions(mine, n)) if into else {}
+    parts, rep, nothing = [], [], (none, none, none)
+    for w, idx in mine.items():
+        tgt, src = targets.get(w, none), sources.get(w, none)
+        if graded:
+            j, i, v = out.get(w, nothing)
+            q, R = _echelon(F, i, j, v, (len(tgt), len(idx)), True)
+        else:
+            R = _block(F, out, tgt, idx)
+            q = _rref_right(F, R) if R.size else []
         R = R[: len(q)].copy()  # frees the map's buffer
         # only the transposed copy is reduced: the incoming map goes now
-        B = _block(F, into, idx, sources.get(w, none)).T.copy()
-        pivots = fieldlin._rref(F, B) if B.size else []
+        if graded:
+            pivots, B = _echelon(F, *into.get(w, nothing), (len(src), len(idx)), False)
+        else:
+            B = _block(F, into, idx, src).T.copy()
+            pivots = fieldlin._rref(F, B) if B.size else []
         B = B[: len(pivots)].astype(narrow)
         if len(R) and len(B) and F.mat_mul(R, B.T).any():
             raise NotASubspace("quotient requires the second space inside the first")

@@ -593,7 +593,7 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-@pytest.mark.parametrize(
+EVERY_COMMAND = pytest.mark.parametrize(
     "argv",
     [
         ["validate", corpus("dual_f3")],
@@ -603,8 +603,10 @@ print(json.dumps([code, sorted(sys.modules)]))
     ],
     ids=["validate", "hh", "degree0", "kappa"],
 )
-def test_no_command_loads_hashlib(argv):
-    # hashlib loads OpenSSL's libcrypto, a few MB that no command needs
+
+
+def _modules_after(argv):
+    """The modules loaded by `import kuelsh.cli` and one in-process run."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED] + argv, env=env, capture_output=True, text=True, timeout=60
@@ -612,4 +614,27 @@ def test_no_command_loads_hashlib(argv):
     assert proc.returncode == 0, proc.stderr[-2000:]
     code, modules = json.loads(proc.stdout)
     assert code == 0
-    assert not {"hashlib", "_hashlib"} & set(modules)
+    return set(modules)
+
+
+@EVERY_COMMAND
+def test_no_command_loads_hashlib(argv):
+    # hashlib loads OpenSSL's libcrypto, a few MB that no command needs
+    assert not {"hashlib", "_hashlib"} & _modules_after(argv)
+
+
+@EVERY_COMMAND
+def test_no_command_loads_oracle_or_catalog(argv):
+    # each process compiles what it imports, and no command needs these two:
+    # `kuelsh` loads `oracle`, which loads `catalog`, on first use of its names
+    assert not {"kuelsh.oracle", "kuelsh.catalog"} & _modules_after(argv)
+
+
+def test_every_exported_name_resolves():
+    import kuelsh
+    from kuelsh import oracle
+
+    assert all(getattr(kuelsh, name) is not None for name in kuelsh.__all__)
+    assert kuelsh.ta_iso_dual is oracle.ta_iso_dual
+    with pytest.raises(AttributeError):
+        kuelsh.no_such_name

@@ -32,6 +32,8 @@ from kuelsh.fieldlin import (
     _elimination_dtype,
     _rref,
     _rref_prime,
+    _entry_rows,
+    _rref_rows,
     preimage,
     row_reduce,
 )
@@ -697,6 +699,39 @@ def test_rref_prime_reduces_midway_in_a_narrow_buffer(p, dtype):
         check_kernel(F, lambda d: _rref_prime(p, d), data, rank, (dtype,))
     with pytest.raises(TypeError):
         _rref_prime(p, np.ones((2, 2), dtype=np.int8))
+
+
+def _dense_kernel(F):
+    if F.r > 1:
+        return lambda R: _rref_generic(F, R)
+    return _rref_gf2 if F.p == 2 else lambda R: _rref_prime(F.p, R)
+
+
+SPARSE_SHAPES = [(0, 0), (0, 6), (5, 0), (1, 1), (4, 9), (9, 4), (30, 70), (70, 30), (40, 130)]
+
+
+@pytest.mark.parametrize("F", [F2, F3, F5, F4, F9, FiniteField(2**31 - 1)], ids=repr)
+def test_sparse_rows_kernel_matches_dense_kernels(F):
+    # insertion order does not move pivots or the RREF: the sparse kernel
+    # gives the dense kernels' pivots and reduced rows, in the buffer's type,
+    # left to right and right to left (through the reversed columns)
+    rng, pick = np.random.default_rng(F.q % 1009), random.Random(F.q)
+    dense = _dense_kernel(F)
+    for m, n in SPARSE_SHAPES:
+        cases = [rng.integers(1, F.q, (m, n)) * (rng.random((m, n)) < density)
+                 for density in (0.0, 0.05, 0.3, 1.0)]
+        cases.append(rand_rank(F, m, n, min(m, n), pick))
+        for data, flip in itertools.product(cases, (False, True)):
+            dtype = _elimination_dtype(F, m, n)
+            X = data[:, ::-1] if flip else data
+            want = data.astype(dtype)
+            view = want[:, ::-1] if flip else want
+            pivots = dense(view)
+            i, j = np.nonzero(X)
+            got, rows = _rref_rows(F, _entry_rows(F, i, j, X[i, j]), n, dtype)
+            assert got == pivots, (m, n, flip)
+            assert rows.dtype == dtype and rows.shape == (len(pivots), n)
+            assert rows.tolist() == view[: len(pivots)].tolist() and not view[len(pivots):].any()
 
 
 WIDE_PRIMES = [FiniteField(p) for p in (191, 46349, 2**31 - 1)]

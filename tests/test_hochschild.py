@@ -305,28 +305,39 @@ def test_homology_keeps_only_basis_rows():
         assert H.representatives.base is None
 
 
+def _nonempty_blocks(A, m, cochains):
+    """The number of blocks, one per map in and out of each weight class of
+    degree m, with rows and columns."""
+    classes, step = _weight_classes(A, m + 1, cochains), 1 if cochains else -1
+    partners = [classes(k) if k >= 0 else {} for k in (m + step, m - step)]
+    return sum(w in other for w in classes(m) for other in partners)
+
+
+def _spy_eliminations(monkeypatch, record):
+    """Call record(n) with the width n of each block eliminated, by either
+    kernel: `fieldlin._rref` on a dense buffer or `_rref_rows` on the sparse
+    rows `_echelon` builds (`_rref`'s own calls to it are not counted)."""
+    rref, rows = fieldlin._rref, hochschild._rref_rows
+    monkeypatch.setattr(fieldlin, "_rref", lambda F, R: record(R.shape[1]) or rref(F, R))
+    monkeypatch.setattr(hochschild, "_rref_rows", lambda F, X, n, t: record(n) or rows(F, X, n, t))
+
+
 def test_homology_eliminates_each_differential_once(monkeypatch):
     # the cycles are read off one right-to-left elimination of the outgoing
     # map and the representatives are selected by pivot: each weight block of
-    # a differential is eliminated once (a block with no rows or no columns
-    # is a zero map and needs none), nothing else is, and the one product per
-    # block is the containment check, made when the block has boundaries and
-    # its outgoing map has rank, that is when it has both to compare
+    # a differential is eliminated once, by one of the two kernels (a block
+    # with no rows or no columns is a zero map and needs none), nothing else
+    # is, and the one product per block is the containment check, made when
+    # the block has boundaries and its outgoing map has rank, that is when it
+    # has both to compare
     TA = trivial_extension(dual_numbers(F3)).algebra
     calls = []
-    rref, mat_mul, block = fieldlin._rref, FiniteField.mat_mul, hochschild._block
-
-    def spy_block(*args):
-        M = block(*args)
-        calls.append("block" if M.size else "zero")
-        return M
-
-    monkeypatch.setattr(fieldlin, "_rref", lambda *a: calls.append("rref") or rref(*a))
+    mat_mul = FiniteField.mat_mul
+    _spy_eliminations(monkeypatch, lambda n: calls.append("rref"))
     monkeypatch.setattr(FiniteField, "mat_mul", lambda *a: calls.append("mul") or mat_mul(*a))
     monkeypatch.setattr(Subspace, "quotient_basis", lambda *a: calls.append("quotient"))
-    monkeypatch.setattr(hochschild, "_block", spy_block)
     for m in range(1, 5):
-        for H in (homology, cohomology):
+        for H, cochains in ((homology, False), (cohomology, True)):
             calls.clear()
             hb = H(TA, m)
             lead = (hb.representatives != 0).argmax(axis=1)
@@ -335,9 +346,60 @@ def test_homology_eliminates_each_differential_once(monkeypatch):
                 rank = len(idx) - len(rows) - np.isin(lead, idx).sum()
                 checked += bool(len(rows)) and rank > 0
             assert len(hb.blocks) > 1 and checked >= 3 * (m > 1), (H.__name__, m)
-            assert calls.count("rref") == calls.count("block") > 0, (H.__name__, m)
+            assert calls.count("rref") == _nonempty_blocks(TA, m, cochains) > 0, (H.__name__, m)
             assert calls.count("mul") == checked, (H.__name__, m)
             assert "quotient" not in calls, (H.__name__, m)
+
+
+def test_blocks_go_to_the_kernel_their_sparsity_picks(monkeypatch):
+    # a graded input deals one entry list per differential to its classes and
+    # sends some blocks to each kernel; a single class, a dense basis, builds
+    # no entry list and fills each whole differential in a dense buffer
+    calls = []
+    dealt, rows, prime = hochschild._dealt, hochschild._rref_rows, fieldlin._rref_prime
+    monkeypatch.setattr(hochschild, "_dealt", lambda *a: calls.append("dealt") or dealt(*a))
+    monkeypatch.setattr(hochschild, "_rref_rows", lambda *a: calls.append("sparse") or rows(*a))
+    monkeypatch.setattr(fieldlin, "_rref_prime", lambda *a: calls.append("dense") or prime(*a))
+    TA = trivial_extension(dual_numbers(F3)).algebra
+    for H in (homology, cohomology):
+        calls.clear()
+        H(TA, 5)
+        assert calls.count("dealt") == 2 and {"sparse", "dense"} <= set(calls), H.__name__
+    dense = _dense_basis(TA, 43)
+    for H in (homology, cohomology):
+        calls.clear()
+        H(dense, 4)
+        assert "dealt" not in calls and "sparse" not in calls and "dense" in calls, H.__name__
+
+
+def _routed_bases(A, m, sparse):
+    """HH_m and HH^m of A with every block on one route: `sparse` decides."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fieldlin, "_sparse", lambda *shape: sparse)
+        return [_homology_basis(A, m, hochschild._boundary_terms, -1),
+                _homology_basis(A, m, hochschild._coboundary_terms, 1)]
+
+
+def test_sparse_and_dense_routes_give_one_homology_basis():
+    # pivots and kernel rows do not depend on the route: representatives,
+    # their pivots and each block's boundary rows, in their type, are those
+    # of the dense kernels, on the sparse route alone and with the rule's
+    # choice; a dense basis (not over F2, where no all-nonzero one exists)
+    # has one class and reaches the sparse kernel only through `_rref`
+    for A, top, _ in _graded_algebras():
+        for B in (A, _dense_basis(A, 44)) if A.field.q > 2 else (A,):
+            for m in range(top + (B is A)):
+                want = _routed_bases(B, m, False)
+                for got in (_routed_bases(B, m, True), [homology(B, m), cohomology(B, m)]):
+                    for g, w in zip(got, want):
+                        where = (B.field, B.dim, B is A, m)
+                        assert g.representatives.shape == w.representatives.shape, where
+                        assert g.representatives.tobytes() == w.representatives.tobytes(), where
+                        assert g.pivots == w.pivots and len(g.blocks) == len(w.blocks), where
+                        for (gi, gr, gp), (wi, wr, wp) in zip(g.blocks, w.blocks):
+                            assert np.array_equal(gi, wi) and np.array_equal(gp, wp), where
+                            assert gr.dtype == wr.dtype and gr.shape == wr.shape, where
+                            assert gr.tobytes() == wr.tobytes(), where
 
 
 def test_homology_on_a_dense_basis_holds_no_cycles():
@@ -652,11 +714,10 @@ def test_rescaled_monomial_basis_keeps_its_weights(data):
 
 def test_graded_homology_eliminates_no_whole_differential(monkeypatch):
     # b_5 of T(k[eps]) is 324 x 972 and b_6 is 972 x 2916; the widest weight
-    # class of 972 chains or cochains in degree 5 has 110
+    # class of 972 chains or cochains in degree 5 has 110, on either kernel
     TA = trivial_extension(dual_numbers(F3)).algebra
     widths = []
-    rref = fieldlin._rref
-    monkeypatch.setattr(fieldlin, "_rref", lambda F, R: widths.append(R.shape[1]) or rref(F, R))
+    _spy_eliminations(monkeypatch, widths.append)
     for H in (homology, cohomology):
         widths.clear()
         H(TA, 5)
