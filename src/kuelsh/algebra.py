@@ -11,7 +11,6 @@ symmetrizing forms of a given algebra.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,11 +104,11 @@ class Algebra:
         return f"Algebra(dim {self.dim} over {self.field!r})"
 
 
-@dataclass
 class ValidationReport:
-    ok: bool
-    unit_violations: list
-    associativity_violations: list
+    def __init__(self, ok, unit_violations, associativity_violations):
+        self.ok = ok
+        self.unit_violations = unit_violations  # (side, i) pairs
+        self.associativity_violations = associativity_violations  # (i, j, k) triples
 
 
 def algebra_validate(A):
@@ -197,10 +196,10 @@ class BilinearForm:
         return np.array_equal(left.ravel(), right.ravel())
 
 
-@dataclass
 class FormSearchResult:
-    status: str  # "found" | "none" | "unknown"
-    form: object  # linear form vector when found
+    def __init__(self, status, form):
+        self.status = status  # "found" | "none" | "unknown"
+        self.form = form  # linear form vector when found
 
 
 def commutator_space(A):
@@ -253,11 +252,11 @@ def symmetrizing_form_search(A):
 # -- morphisms ---------------------------------------------------------------
 
 
-@dataclass
 class AlgebraMorphism:
-    source: Algebra
-    target: Algebra
-    matrix: Matrix  # d_target x d_source
+    def __init__(self, source, target, matrix):
+        self.source = source
+        self.target = target
+        self.matrix = matrix  # d_target x d_source
 
     def apply(self, v):
         return self.matrix.mul_vec(v)
@@ -289,13 +288,13 @@ def morphism_validate(theta):
 # -- trivial extension -------------------------------------------------------
 
 
-@dataclass
 class TrivialExtension:
-    algebra: Algebra
-    form: BilinearForm  # the canonical symmetrizing form of TA
-    lam: np.ndarray  # linear form with <x,y> = lam(xy)
-    iota: AlgebraMorphism  # A -> TA
-    pi: AlgebraMorphism  # TA -> A
+    def __init__(self, algebra, form, lam, iota, pi):
+        self.algebra = algebra
+        self.form = form  # the canonical symmetrizing form of TA
+        self.lam = lam  # linear form with <x,y> = lam(xy)
+        self.iota = iota  # A -> TA
+        self.pi = pi  # TA -> A
 
 
 def trivial_extension(A):

@@ -8,10 +8,10 @@ degenerate form, exceeded budget) or allocation failure, 2 I/O or parse errors.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,19 +40,14 @@ class ParseFailure(Exception):
     """Schema or file level problem; maps to exit code 2."""
 
 
-def _degree(text):
-    """argparse type of --m, --n, --max-degree and --budget: an integer >= 0."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return int(text)
-
-
 def _load_algebra(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseFailure(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ParseFailure(
             f"invalid JSON in {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
@@ -81,10 +76,14 @@ def _resolve_form(A, choice):
         res = symmetrizing_form_search(A)
         return res.form, res.status
     try:
-        with open(choice) as fh:
+        with open(choice, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseFailure(f"cannot read form file {choice}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseFailure(
+            f"form file {choice} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from exc
     except json.JSONDecodeError as exc:
         raise ParseFailure(f"invalid JSON in form file {choice}: {exc.msg}") from exc
     values = doc.get("form") if isinstance(doc, dict) else doc
@@ -220,51 +219,168 @@ def cmd_kappa(args):
     return 0
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="kuelsh",
-        description="Exact Kulshammer-type invariants of finite dimensional algebras",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# -- command line -----------------------------------------------------------------
+# One table drives parsing, the usage line and the help.  A command is (function,
+# help, options); an option is (name, metavar, parse, default, help): `parse`
+# turns the option's text into its value and raises ValueError on a bad one, a
+# flag has neither metavar nor parse and is False unless given, and an option
+# whose default is _REQUIRED must be given.  Options stand before or after the
+# path, as `--name value` or `--name=value`; the last one given counts.
 
-    p = sub.add_parser("validate", help="check the algebra axioms of an input file")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_validate)
+_REQUIRED = object()
 
-    p = sub.add_parser("degree0", help="commutator space, centre, T_n and friends")
-    p.add_argument("path")
-    p.add_argument("--n", type=_degree, default=1, help="largest power index n")
-    p.add_argument(
-        "--form",
-        default="auto",
-        help="'auto' (search), 'none', or a path to a JSON form file",
-    )
-    p.set_defaults(func=cmd_degree0)
 
-    p = sub.add_parser("hh", help="Hochschild homology dimension table")
-    p.add_argument("path")
-    p.add_argument("--max-degree", type=_degree, default=3, dest="max_degree")
-    p.add_argument("--budget", type=_degree, default=DEFAULT_COLUMN_BUDGET)
-    p.add_argument("--force", action="store_true")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--form", default="auto")
-    p.set_defaults(func=cmd_hh)
+def _degree(text):
+    """The value of --m, --n, --max-degree and --budget: an integer >= 0."""
+    if not text.isdecimal():
+        raise ValueError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
-    p = sub.add_parser("kappa", help="higher Kulshammer maps")
-    p.add_argument("path")
-    p.add_argument("--m", type=_degree, required=True)
-    p.add_argument("--n", type=_degree, required=True)
-    p.add_argument("--hat", action="store_true", help="trivial-extension route")
-    p.add_argument("--form", default="auto")
-    p.set_defaults(func=cmd_kappa)
-    return parser
+
+def _format(text):
+    if text not in ("json", "csv"):
+        raise ValueError(f"invalid choice: {text!r} (choose from 'json', 'csv')")
+    return text
+
+
+_FORM = ("--form", "FORM", str, "auto", "'auto' (search; the default), 'none', or a JSON form file")
+COMMANDS = {
+    "validate": (cmd_validate, "check the algebra axioms of an input file", ()),
+    "degree0": (
+        cmd_degree0,
+        "commutator space, centre, T_n and friends",
+        (("--n", "N", _degree, 1, "largest power index n (default 1)"), _FORM),
+    ),
+    "hh": (
+        cmd_hh,
+        "Hochschild homology dimension table",
+        (
+            ("--max-degree", "MAX_DEGREE", _degree, 3, "last degree of the table (default 3)"),
+            (
+                "--budget",
+                "BUDGET",
+                _degree,
+                DEFAULT_COLUMN_BUDGET,
+                f"most columns of b_(max-degree+1) (default {DEFAULT_COLUMN_BUDGET})",
+            ),
+            ("--force", None, None, False, "compute over the budget"),
+            ("--format", "{json,csv}", _format, "json", "report format (default json)"),
+            _FORM,
+        ),
+    ),
+    "kappa": (
+        cmd_kappa,
+        "higher Kulshammer maps",
+        (
+            ("--m", "M", _degree, _REQUIRED, "degree m of the codomain HH_m"),
+            ("--n", "N", _degree, _REQUIRED, "power index n: the domain is HH_(p^n m)"),
+            ("--hat", None, None, False, "trivial-extension route"),
+            _FORM,
+        ),
+    ),
+}
+
+
+def _word(name, metavar):
+    return f"{name} {metavar}" if metavar else name
+
+
+def _usage(command):
+    if command is None:
+        return "usage: kuelsh [-h] {" + ",".join(COMMANDS) + "} ..."
+    words = [f"usage: kuelsh {command} [-h]"]
+    for name, metavar, _, default, _ in COMMANDS[command][2]:
+        word = _word(name, metavar)
+        words.append(word if default is _REQUIRED else f"[{word}]")
+    return " ".join(words + ["path"])
+
+
+def _help(command):
+    """Print the usage and help of the program or of one command; exit 0."""
+    if command is None:
+        lines = ["Exact Kulshammer-type invariants of finite dimensional algebras", "", "commands:"]
+        rows = [(name, text) for name, (_, text, _) in COMMANDS.items()]
+        rows.append(("", "`kuelsh COMMAND -h` lists a command's options"))
+    else:
+        _, text, options = COMMANDS[command]
+        lines = [text, "", "arguments:"]
+        rows = [("path", "algebra JSON file"), ("-h, --help", "show this help and exit")]
+        rows += [(_word(name, metavar), text) for name, metavar, _, _, text in options]
+    width = max(len(word) for word, _ in rows) + 2
+    lines += [f"  {word:<{width}}{text}" for word, text in rows]
+    sys.stdout.write(_usage(command) + "\n\n" + "\n".join(lines) + "\n")
+    raise SystemExit(0)
+
+
+def _fail(command, message):
+    """A usage error: the usage line and the message on stderr; exit 2."""
+    prog = "kuelsh" if command is None else f"kuelsh {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _is_option(token):
+    # a lone "-" and negative numbers are values
+    return len(token) > 1 and token[0] == "-" and not token[1:].replace(".", "", 1).isdigit()
+
+
+def parse_args(argv):
+    """The function of the command that argv (the arguments after the program
+    name) names, and its arguments: `path` and one attribute per option.
+    After `--` every token is a path."""
+    if not argv or argv[0] in ("-h", "--help"):
+        if argv:
+            _help(None)
+        _fail(None, "the following arguments are required: command")
+    command, tokens = argv[0], iter(argv[1:])
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    func, _, options = COMMANDS[command]
+    spec = {option[0]: option for option in options}
+    values = {name: default for name, _, _, default, _ in options}
+    paths, unknown, literal = [], [], False
+    for token in tokens:
+        if literal or not _is_option(token):
+            paths.append(token)
+            continue
+        if token == "--":
+            literal = True
+            continue
+        if token in ("-h", "--help"):
+            _help(command)
+        name, equals, text = token.partition("=")
+        if name not in spec:
+            unknown.append(token)
+            continue
+        parse = spec[name][2]
+        if parse is None:
+            if equals:
+                _fail(command, f"argument {name}: ignored explicit argument {text!r}")
+            values[name] = True
+            continue
+        if not equals:
+            text = next(tokens, None)
+            if text is None or _is_option(text):
+                _fail(command, f"argument {name}: expected one argument")
+        try:
+            values[name] = parse(text)
+        except ValueError as exc:
+            _fail(command, f"argument {name}: {exc}")
+    missing = [] if paths else ["path"]
+    missing += [name for name, value in values.items() if value is _REQUIRED]
+    if missing:
+        _fail(command, "the following arguments are required: " + ", ".join(missing))
+    if paths[1:] + unknown:
+        _fail(None, "unrecognized arguments: " + " ".join(paths[1:] + unknown))
+    attrs = {name[2:].replace("-", "_"): value for name, value in values.items()}
+    return func, SimpleNamespace(path=paths[0], **attrs)
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    func, args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return func(args)
     except ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

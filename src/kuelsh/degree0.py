@@ -9,7 +9,6 @@ the trivial-extension identity relating them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -142,12 +141,12 @@ def annihilator_in_dual(A, W):
     return row_reduce(W.basis).kernel
 
 
-@dataclass
 class BhzReport:
-    holds: bool
-    lhs: Subspace  # T_n(TA)^perp inside Z(TA)
-    rhs: Subspace  # {0} + Ann_{A*}(T_n(A)) in TA coordinates
-    pullback_holds: bool | None = None  # for symmetric A only
+    def __init__(self, holds, lhs, rhs, pullback_holds=None):
+        self.holds = holds
+        self.lhs = lhs  # T_n(TA)^perp inside Z(TA)
+        self.rhs = rhs  # {0} + Ann_{A*}(T_n(A)) in TA coordinates
+        self.pullback_holds = pullback_holds  # for symmetric A only, else None
 
 
 def bhz_check(A, n, lam=None):
@@ -176,16 +175,15 @@ def bhz_check(A, n, lam=None):
     return BhzReport(lhs == rhs, lhs, rhs, pullback)
 
 
-@dataclass
 class DegreeZeroReport:
-    ka: Subspace
-    z: Subspace
-    t: list  # T_1 .. T_N
-    ann: list  # Ann_{A*}(T_n)
-    t_perp: list | None = None  # with a symmetrizing form only
-    zeta: SemilinearMap | None = None
-    kappa: SemilinearMap | None = None
-    bhz: list = dataclass_field(default_factory=list)  # verdicts per n
+    def __init__(self, ka, z, t, ann, bhz):
+        self.ka = ka
+        self.z = z
+        self.t = t  # T_1 .. T_N
+        self.ann = ann  # Ann_{A*}(T_n)
+        self.bhz = bhz  # verdicts per n
+        # with a symmetrizing form only
+        self.t_perp = self.zeta = self.kappa = None
 
 
 def degree0_report(A, n_max, lam=None):
@@ -195,7 +193,7 @@ def degree0_report(A, n_max, lam=None):
     t = [kulshammer_T(A, n) for n in range(1, n_max + 1)]
     ann = [annihilator_in_dual(A, tn) for tn in t]
     bhz = [bhz_check(A, n).holds for n in range(1, n_max + 1)]
-    rep = DegreeZeroReport(ka, z, t, ann, bhz=bhz)
+    rep = DegreeZeroReport(ka, z, t, ann, bhz)
     if lam is not None:
         form = BilinearForm.from_linear_form(A, lam)
         rep.t_perp = [perp(form, tn, z) for tn in t]

@@ -47,7 +47,6 @@ is exact over prime and extension fields alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -291,7 +290,6 @@ def coboundary_apply(f):
 # -- homology -------------------------------------------------------------------
 
 
-@dataclass
 class HomologyBasis:
     """Canonical homology basis in degree m of an n-dimensional space.
 
@@ -300,11 +298,12 @@ class HomologyBasis:
     unsigned type that holds a scalar index, and their pivots.  Only the
     representatives, an int64 RREF, are laid out in F^n, with their pivots."""
 
-    degree: int
-    representatives: np.ndarray  # read-only (dimension, n) RREF block of rows
-    field: object
-    blocks: list  # (idx, rows, pivots): each weight block's boundary RREF in F^len(idx)
-    pivots: list  # the representatives' leading columns, ascending
+    def __init__(self, degree, representatives, field, blocks, pivots):
+        self.degree = degree
+        self.representatives = representatives  # read-only (dimension, n) RREF block of rows
+        self.field = field
+        self.blocks = blocks  # (idx, rows, pivots): each weight block's boundary RREF in F^len(idx)
+        self.pivots = pivots  # the representatives' leading columns, ascending
 
     dimension = property(lambda self: len(self.representatives))
 
@@ -528,7 +527,7 @@ def _homology_basis(A, m, terms, step):
     for w, idx in mine.items():
         tgt, src = targets.get(w, none), sources.get(w, none)
         if graded:
-            j, i, v = out.get(w, nothing)
+            j, i, v = out.pop(w, nothing)  # a chunk's arrays go with its last class
             q, R = _echelon(F, i, j, v, (len(tgt), len(idx)), True)
         else:
             R = _block(F, out, tgt, idx)
@@ -536,7 +535,7 @@ def _homology_basis(A, m, terms, step):
         R = R[: len(q)].copy()  # frees the map's buffer
         # only the transposed copy is reduced: the incoming map goes now
         if graded:
-            pivots, B = _echelon(F, *into.get(w, nothing), (len(src), len(idx)), False)
+            pivots, B = _echelon(F, *into.pop(w, nothing), (len(src), len(idx)), False)
         else:
             B = _block(F, into, idx, src).T.copy()
             pivots = fieldlin._rref(F, B) if B.size else []

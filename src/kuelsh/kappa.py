@@ -16,8 +16,6 @@ n = 2 the cycles have 2 coordinates; T(A)'s degree-18 chains have 4 * 3^18.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import identity_morphism, trivial_extension
@@ -36,11 +34,11 @@ from .hochschild import (
 )
 
 
-@dataclass
 class KappaMap:
-    domain_degree: int  # p^n m
-    codomain_degree: int  # m
-    map: SemilinearMap
+    def __init__(self, domain_degree, codomain_degree, map):
+        self.domain_degree = domain_degree  # p^n m
+        self.codomain_degree = codomain_degree  # m
+        self.map = map  # a SemilinearMap
 
     @property
     def matrix(self):
@@ -135,11 +133,11 @@ def kappa_hat(A, m, n):
     return KappaMap(e * m, m, SemilinearMap(down @ inner, twist=-n))
 
 
-@dataclass
 class KappaComparison:
-    equal: bool
-    kappa: KappaMap
-    kappa_hat: KappaMap
+    def __init__(self, equal, kappa, kappa_hat):
+        self.equal = equal
+        self.kappa = kappa
+        self.kappa_hat = kappa_hat
 
 
 def kappa_compare_symmetric(A, lam, m, n):

@@ -69,6 +69,14 @@ def test_validate_missing_file(capsys):
     assert code == 2
 
 
+def test_validate_non_utf8_file_exit_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b"\xff" + open(corpus("dual_f3"), "rb").read())
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "UTF-8" in err
+
+
 def test_validate_bad_algebra(tmp_path, capsys):
     doc = json.load(open(corpus("dual_f2")))
     doc["structure_constants"][1][0][1] = 0  # break the unit axiom
@@ -304,6 +312,14 @@ def test_degree0_nonsymmetric_form_rejected(tmp_path, capsys):
     assert out == "" and "not symmetrizing" in err
 
 
+def test_degree0_non_utf8_form_file_exit_2(tmp_path, capsys):
+    form = tmp_path / "form.json"
+    form.write_bytes(b'{"form": [0, 1]}\xff')
+    code, out, err = run(capsys, "degree0", corpus("dual_f3"), "--form", str(form))
+    assert code == 2
+    assert out == "" and "form file" in err and "UTF-8" in err
+
+
 @pytest.mark.parametrize("doc", [{"form": [False, True]}, {"lam": [0, 1]}])
 def test_degree0_malformed_form_file_exit_2(tmp_path, capsys, doc):
     form = tmp_path / "form.json"
@@ -497,6 +513,79 @@ def test_negative_degrees_rejected_with_usage(capsys, argv):
     assert out.err.startswith("usage:") and "expected an integer >= 0" in out.err
 
 
+@pytest.mark.parametrize(
+    "argv, options",
+    [
+        (["-h"], ["validate", "degree0", "hh", "kappa"]),
+        (["--help"], ["validate", "degree0", "hh", "kappa"]),
+        (["validate", "-h"], ["path"]),
+        (["degree0", "--help"], ["path", "--n", "--form"]),
+        (
+            ["hh", corpus("dual_f3"), "-h"],
+            ["--max-degree", "--budget", "--force", "--format", "--form"],
+        ),
+        (["kappa", "--help", "--m", "x"], ["--m", "--n", "--hat", "--form"]),
+    ],
+    ids=["top-h", "top-help", "validate", "degree0", "hh-after-path", "kappa-before-bad-value"],
+)
+def test_help_exits_0_with_usage_on_stdout(capsys, argv, options):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 0
+    prog = "kuelsh" if argv[0].startswith("-") else f"kuelsh {argv[0]}"
+    assert out.out.startswith(f"usage: {prog} ") and out.err == ""
+    assert all(name in out.out for name in options)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ([], "command"),
+        (["bogus", corpus("dual_f3")], "bogus"),
+        (["hh", corpus("dual_f3"), "--bogus"], "--bogus"),
+        (["hh", corpus("dual_f3"), "extra"], "extra"),
+        (["hh"], "path"),
+        (["kappa", corpus("dual_f3"), "--n", "1"], "--m"),
+        (["kappa", corpus("dual_f3"), "--m", "1", "--n"], "--n"),
+        (["hh", corpus("dual_f3"), "--format", "xml"], "--format"),
+        (["hh", corpus("dual_f3"), "--format=xml"], "--format"),
+        (["hh", corpus("dual_f3"), "--max-degree", "two"], "--max-degree"),
+        (["degree0", corpus("dual_f3"), "--n=1.5"], "--n"),
+        (["hh", corpus("dual_f3"), "--force=yes"], "--force"),
+    ],
+    ids=[
+        "no-command", "unknown-command", "unknown-option", "extra-path", "missing-path",
+        "kappa-without-m", "option-without-value", "format-xml", "format-xml-equals",
+        "non-integer-degree", "non-integer-degree-equals", "flag-with-value",
+    ],
+)
+def test_usage_errors_exit_2_naming_the_argument(capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert out.err.startswith("usage:") and named in out.err
+
+
+def test_options_take_equals_and_stand_before_or_after_the_path(capsys):
+    path = corpus("dual_f3")
+    code, plain, _ = run(capsys, "hh", path, "--max-degree", "2")
+    assert code == 0
+    for argv in (
+        ["hh", "--max-degree=2", path],
+        ["hh", "--max-degree", "2", path],
+        ["hh", path, "--max-degree=2", "--format", "json", "--form=auto"],
+        ["hh", "--max-degree", "5", path, "--max-degree", "2"],  # the last one counts
+        ["hh", "--max-degree", "2", "--", path],  # after "--" every token is a path
+    ):
+        assert run(capsys, *argv) == (0, plain, ""), argv
+    code, plain, _ = run(capsys, "kappa", path, "--m", "1", "--n", "1", "--hat")
+    assert code == 0
+    assert run(capsys, "kappa", "--hat", "--n=1", "--m=1", path) == (0, plain, "")
+
+
 def test_degree_zero_accepted(capsys):
     code, out, _ = run(capsys, "hh", corpus("dual_f3"), "--max-degree", "0")
     assert code == 0
@@ -619,8 +708,9 @@ def _modules_after(argv):
 
 @EVERY_COMMAND
 def test_no_command_loads_hashlib(argv):
-    # hashlib loads OpenSSL's libcrypto, a few MB that no command needs
-    assert not {"hashlib", "_hashlib"} & _modules_after(argv)
+    # hashlib loads OpenSSL's libcrypto, a few MB that no command needs; each
+    # process would also pay argparse's and dataclasses' import and set-up
+    assert not {"hashlib", "_hashlib", "argparse", "dataclasses"} & _modules_after(argv)
 
 
 @EVERY_COMMAND

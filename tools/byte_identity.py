@@ -12,6 +12,9 @@ Runs the same `kuelsh` commands from this checkout's `src/` and from
   `kappa --m 0 --n 2 --hat` and `kappa --m 2 --n 1` on every `corpus/*.json`
   of this checkout.  The last one checks degree-2 cocycles and degree-2p
   cycles on both kappa routes of the symmetric inputs;
+* four usage errors on `corpus/dual_f3.json`: a negative degree, `kappa`
+  without `--m`, an unknown option and `--format xml`, each of which exits 2
+  with nothing on stdout;
 * the four large runs `kappa corpus/dual_f3.json --m 7 --n 1 --hat`,
   `--m 8 --n 1 --hat`, `kappa corpus/dual_f2.json --m 8 --n 1 --hat` and
   `kappa corpus/ut3_f3.json --m 2 --n 1 --hat`, once each, which add about
@@ -52,6 +55,12 @@ CORPUS_COMMANDS = (
     ("kappa", "--m", "1", "--n", "1", "--hat"),
     ("kappa", "--m", "0", "--n", "2", "--hat"),
     ("kappa", "--m", "2", "--n", "1"),
+)
+USAGE_ERRORS = (
+    ("hh", "dual_f3.json", "--max-degree", "-1"),
+    ("kappa", "dual_f3.json", "--n", "1"),
+    ("hh", "dual_f3.json", "--no-such-option"),
+    ("hh", "dual_f3.json", "--format", "xml"),
 )
 WALLS = (
     ("kappa", "dual_f3.json", "--m", "7", "--n", "1", "--hat"),
@@ -109,7 +118,8 @@ def commands(work):
             out += [[job.command, paths[job.spec], *job.args] for job in w.jobs]
     for path in sorted(glob.glob(os.path.join(ROOT, "corpus", "*.json"))):
         out += [[cmd[0], path, *cmd[1:]] for cmd in CORPUS_COMMANDS]
-    out += [[cmd, os.path.join(ROOT, "corpus", name), *rest] for cmd, name, *rest in WALLS]
+    rest = USAGE_ERRORS + WALLS  # the large runs come last
+    out += [[cmd, os.path.join(ROOT, "corpus", name), *args] for cmd, name, *args in rest]
     return out
 
 
