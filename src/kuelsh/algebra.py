@@ -21,6 +21,7 @@ from .fieldlin import (
     Subspace,
     _as_rows,
     _in_range,
+    _indices,
     _is_int,
     _power,
     _rank,
@@ -37,7 +38,7 @@ class Algebra:
     __slots__ = ("field", "labels", "const", "_cache")
 
     def __init__(self, field, labels, structure_constants):
-        const = np.array(structure_constants, dtype=np.int64)
+        const = _indices(structure_constants, copy=True)
         d = len(labels)
         if const.shape != (d, d, d):
             raise DimensionMismatch(

@@ -303,6 +303,16 @@ class FiniteField:
 # -- matrices -------------------------------------------------------------
 
 
+def _indices(v, copy=False):
+    """v as an int64 array of scalar indices, a new one if copy.  Float,
+    complex or object entries are rejected, not truncated; empty input, which
+    numpy makes float64, is an empty int64 array."""
+    arr = np.asarray(v)
+    if arr.size and arr.dtype.kind not in "biu":
+        raise FieldMismatch(f"scalar indices must be integers, got {arr.dtype} entries")
+    return arr.astype(np.int64, copy=copy)
+
+
 def _in_range(field, arr):
     """arr with every entry a scalar index 0..q-1.
 
@@ -321,7 +331,7 @@ def _in_range(field, arr):
 def _as_rows(field, v, length, ndim=None):
     """v as a vector or a (k, length) block of row vectors, entries in range;
     ndim=1 accepts only a vector and ndim=2 only a block."""
-    arr = np.asarray(v, dtype=np.int64)
+    arr = _indices(v)
     if arr.ndim not in ((1, 2) if ndim is None else (ndim,)) or arr.shape[-1] != length:
         raise DimensionMismatch(f"expected rows of length {length}, got shape {arr.shape}")
     return _in_range(field, arr)
@@ -338,10 +348,7 @@ class Matrix:
     __slots__ = ("field", "data")
 
     def __init__(self, field, data, copy=True):
-        if copy:
-            arr = np.array(data, dtype=np.int64)
-        else:
-            arr = np.asarray(data, dtype=np.int64)
+        arr = _indices(data, copy)
         if arr.ndim != 2:
             raise DimensionMismatch(f"matrix data must be 2-d, got {arr.ndim}-d")
         arr = _in_range(field, arr)
@@ -666,7 +673,7 @@ class Subspace:
             _same_field(field, rows.field)
             data = rows.data
         else:
-            data = _in_range(field, np.asarray(rows, dtype=np.int64))
+            data = _in_range(field, _indices(rows))
         if data.ndim not in (1, 2) or data.shape[-1] != ambient_dim:
             raise AmbientMismatch(f"rows of shape {data.shape} in ambient of dim {ambient_dim}")
         self._span(field, ambient_dim, _narrow_copy(field, np.atleast_2d(data)))

@@ -14,14 +14,13 @@ the weight sum w_{i_t} and a cochain (J, k) the weight w_k - sum w_J, and
 every differential preserves it: it maps each weight class into the class
 of the same weight in the next degree.  `homology` and `cohomology` split
 the degree-m space into its weight classes and, in one loop over them,
-reduce only the blocks of the outgoing and incoming maps on each.  With
-more than one class, each map's nonzero entries are made once, a few
-thousand columns at a time, and dealt to the classes (`_dealt`); a block
-that `sparse._sparse` picks, small or with few entries a row, is reduced
-as sparse rows (`sparse._rref_rows`), and any other is filled from its
-entries into a buffer of the narrowest integer type in which its
-elimination is exact (see `fieldlin`).  A dense basis has one class: each
-map is built whole in such a buffer, with no entry list.
+reduce only the blocks of the outgoing and incoming maps on each.  Each
+map's nonzero entries are made once, a few thousand columns at a time, and
+dealt to the classes (`_dealt`); a dense basis has one class, which gets
+them all.  A block that `sparse._sparse` picks, small or with few entries a
+row, is reduced as sparse rows (`sparse._rref_rows`), and any other is
+filled from its entries into a buffer of the narrowest integer type in
+which its elimination is exact (see `fieldlin`).
 No cycle basis is built: a block's representatives are read off the
 right-to-left echelon form of its outgoing map, and one product checks that
 its boundaries are cycles.  A `HomologyBasis` keeps each block's boundary
@@ -30,13 +29,13 @@ lays out only the representatives in F^n, with their pivots; the cycles,
 their span, are derived.  The blocks' RREFs have disjoint supports, so the
 global boundaries, their union sorted by pivot and the RREF of the whole
 differential, are assembled as int64 only on request.  `boundary_matrix`
-and `coboundary_matrix` build the whole differential as a dense basis's
-one block is built and return it as an int64 `Matrix`.
+and `coboundary_matrix` fill the whole differential from the same dealt
+entries, as one class of all columns, and return it as an int64 `Matrix`.
 
 The boundary b and the coboundary delta are defined once, by the terms
 `_boundary_terms` and `_coboundary_terms` yield.  One list of a
-differential's terms, made once per call, feeds `_dealt` or `_block`,
-which find each term's nonzero entries by `_entries`, and `_apply`, which
+differential's terms, made once per call, feeds `_dealt`, which finds
+each term's nonzero entries by `_entries`, and `_apply`, which
 acts on a block of rows with one `FiniteField.mat_mul` per term.  Chain maps, cup products,
 pairing vectors and Gram matrices are slot contractions: the block is
 reshaped so that the slot being multiplied is one matrix axis, contracted
@@ -56,8 +55,8 @@ from .errors import (
     AlgebraMismatch, DimensionMismatch, NotACocycle, NotACycle, NotASubspace, NotUnital,
 )
 from .fieldlin import (
-    Matrix, Subspace, _as_rows, _elimination_dtype, _entry_rows, _in_range, _null_rows, _power,
-    _rref_right, _rref_rows,
+    Matrix, Subspace, _as_rows, _elimination_dtype, _entry_rows, _in_range, _indices, _null_rows,
+    _power, _rref_right, _rref_rows,
 )
 
 
@@ -119,7 +118,7 @@ def _apply(F, terms, X):
 
 
 def _boundary_terms(A, m):
-    """The terms of the bar boundary b_m, m >= 1, for `_block` and `_apply`."""
+    """The terms of the bar boundary b_m, m >= 1, for `_dealt` and `_apply`."""
     d, c, n = A.dim, A.const, A.dim - 1
     rest = n ** (m - 1)
     # (a_0 a_1) (x) a_2 .. a_m, the whole product
@@ -133,7 +132,7 @@ def _boundary_terms(A, m):
 
 
 def _coboundary_terms(A, m):
-    """The terms of the Hochschild coboundary delta_m, m >= 0, for `_block`
+    """The terms of the Hochschild coboundary delta_m, m >= 0, for `_dealt`
     and `_apply`; a cochain index is (J, k), the value's coordinate k at the
     arguments J."""
     d, c, n = A.dim, A.const, A.dim - 1
@@ -145,23 +144,6 @@ def _coboundary_terms(A, m):
         yield "bzpk>bxypk:zxy", sizes, c[1:, 1:, 1:].transpose(2, 0, 1), (-1) ** i
     # (-1)^(m+1) f(a_0, .., a_{m-1}) . a_m
     yield "jk>jbt:kbt", dict(j=n**m, k=d, b=n, t=d), c[:, 1:], (-1) ** (m + 1)
-
-
-def _block(F, terms, rows, cols):
-    """The block on rows x cols, ascending index arrays, of the differential
-    whose terms (see `_labels`) the list `terms` holds, the list `_apply`
-    takes.  Every row that a column of cols reaches must lie in rows: the
-    whole index ranges, or the same weight class on each side.  The block is
-    an owned array in the narrowest integer type in which its elimination is
-    exact, filled term by term from the nonzero entries of its own columns.
-    """
-    out = _zeros(len(rows), len(cols), _elimination_dtype(F, len(rows), len(cols)))
-    if out.size:
-        for spec, sizes, values, sign in terms:
-            j, row, vals = _entries(cols, spec, sizes, values)
-            i = np.searchsorted(rows, row)
-            out[i, j] = F.vadd(out[i, j], vals) if sign > 0 else F.vsub(out[i, j], vals)
-    return out
 
 
 def _slot_mul(F, M, x, before, after):
@@ -193,12 +175,14 @@ def _disk_cache_path(A, kind, m):
 
 
 def _whole(A, terms, m, rows, cols):
-    """The whole rows x cols differential as an int64 Matrix: `_block` on all
-    indices, out of memory before any index array when numpy cannot address
-    it."""
-    _addressable(rows, cols, np.int64)
-    block = _block(A.field, list(terms(A, m)), np.arange(rows), np.arange(cols))
-    return Matrix(A.field, block, copy=False)
+    """The whole rows x cols differential as an int64 Matrix, filled from its
+    entries as `_dealt` deals them to one class of all columns; out of memory
+    before any index array when numpy cannot address it."""
+    out = _zeros(rows, cols, np.int64)
+    if out.size:
+        j, i, v = _dealt(A.field, list(terms(A, m)), {0: np.arange(cols)}, np.arange(rows))[0]
+        out[i, j] = v
+    return Matrix(A.field, out, copy=False)
 
 
 def boundary_matrix(A, m):
@@ -232,7 +216,7 @@ class Cochain:
     __slots__ = ("algebra", "degree", "coeffs")
 
     def __init__(self, algebra, degree, coeffs):
-        coeffs = _in_range(algebra.field, np.array(coeffs, dtype=np.int64))  # a copy it owns
+        coeffs = _in_range(algebra.field, _indices(coeffs, copy=True))  # a copy it owns
         if coeffs.size != cochain_dim(algebra, degree):
             raise DimensionMismatch(f"degree-{degree} cochain coefficients of shape {coeffs.shape}")
         coeffs.setflags(write=False)
@@ -441,7 +425,7 @@ def _dealt(F, terms, classes, pos):
     sort, which also orders them by class."""
     items, dealt = list(classes.items()), {}
     narrow = np.min_scalar_type(max([len(pos)] + [len(idx) for _, idx in items]))
-    cuts, size = [0], 0
+    cuts, size = [], _CHUNK  # the first class opens a batch; no class (d = 1), no batch
     for t, (_, idx) in enumerate(items):
         if size >= _CHUNK:
             cuts, size = cuts + [t], 0
@@ -501,9 +485,9 @@ def _homology_basis(A, m, terms, step):
     m - step are made once, where that map exists.  Each maps a class into
     the class of the same key, so the split is exact; a class with no partner
     there meets a zero map, a block with no rows or no columns, which is not
-    eliminated.  With one class, a dense basis, `_block` builds each map
-    whole; with more, each map's entries are made once and dealt to the
-    classes by `_dealt`, and each block is reduced by `_echelon`.
+    eliminated.  Each map's entries are made once and dealt to the classes
+    by `_dealt`, all of them to the one class of a dense basis, and each
+    block is reduced by `_echelon`.
     The outgoing map is reduced right to left, to rows R with pivots
     q_i: the cycles' RREF rows are e_f - sum_i R[i, f] e_{q_i}, one per free
     column f, and are never built.  The incoming map is reduced transposed,
@@ -519,26 +503,16 @@ def _homology_basis(A, m, terms, step):
     targets, out = (classes(up), list(terms(A, m))) if up >= 0 else ({}, [])
     sources, into = (classes(down), list(terms(A, down))) if down >= 0 else ({}, [])
     mine = classes(m)
-    graded = len(mine) > 1
-    if graded:
-        out = _dealt(F, out, mine, _positions(targets, chain_dim(A, up))) if out else {}
-        into = _dealt(F, into, sources, _positions(mine, n)) if into else {}
+    out = _dealt(F, out, mine, _positions(targets, chain_dim(A, up))) if out else {}
+    into = _dealt(F, into, sources, _positions(mine, n)) if into else {}
     parts, rep, nothing = [], [], (none, none, none)
     for w, idx in mine.items():
         tgt, src = targets.get(w, none), sources.get(w, none)
-        if graded:
-            j, i, v = out.pop(w, nothing)  # a chunk's arrays go with its last class
-            q, R = _echelon(F, i, j, v, (len(tgt), len(idx)), True)
-        else:
-            R = _block(F, out, tgt, idx)
-            q = _rref_right(F, R) if R.size else []
+        j, i, v = out.pop(w, nothing)  # a chunk's arrays go with its last class
+        q, R = _echelon(F, i, j, v, (len(tgt), len(idx)), True)
         R = R[: len(q)].copy()  # frees the map's buffer
-        # only the transposed copy is reduced: the incoming map goes now
-        if graded:
-            pivots, B = _echelon(F, *into.pop(w, nothing), (len(src), len(idx)), False)
-        else:
-            B = _block(F, into, idx, src).T.copy()
-            pivots = fieldlin._rref(F, B) if B.size else []
+        # dealt as (col, row, value): the incoming map's block, transposed
+        pivots, B = _echelon(F, *into.pop(w, nothing), (len(src), len(idx)), False)
         B = B[: len(pivots)].astype(narrow)
         if len(R) and len(B) and F.mat_mul(R, B.T).any():
             raise NotASubspace("quotient requires the second space inside the first")

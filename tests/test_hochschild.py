@@ -353,8 +353,8 @@ def test_homology_eliminates_each_differential_once(monkeypatch):
 
 def test_blocks_go_to_the_kernel_their_sparsity_picks(monkeypatch):
     # a graded input deals one entry list per differential to its classes and
-    # sends some blocks to each kernel; a single class, a dense basis, builds
-    # no entry list and fills each whole differential in a dense buffer
+    # sends some blocks to each kernel; a dense basis deals one list per
+    # differential to its one class and sends each block to the dense kernel
     calls = []
     dealt, rows, prime = hochschild._dealt, hochschild._rref_rows, fieldlin._rref_prime
     monkeypatch.setattr(hochschild, "_dealt", lambda *a: calls.append("dealt") or dealt(*a))
@@ -369,7 +369,7 @@ def test_blocks_go_to_the_kernel_their_sparsity_picks(monkeypatch):
     for H in (homology, cohomology):
         calls.clear()
         H(dense, 4)
-        assert "dealt" not in calls and "sparse" not in calls and "dense" in calls, H.__name__
+        assert calls == ["dealt", "dealt", "dense", "dense"], H.__name__
 
 
 def _routed_bases(A, m, sparse):
@@ -385,7 +385,7 @@ def test_sparse_and_dense_routes_give_one_homology_basis():
     # their pivots and each block's boundary rows, in their type, are those
     # of the dense kernels, on the sparse route alone and with the rule's
     # choice; a dense basis (not over F2, where no all-nonzero one exists)
-    # has one class and reaches the sparse kernel only through `_rref`
+    # has one class: one block per map, reduced on either route alike
     for A, top, _ in _graded_algebras():
         for B in (A, _dense_basis(A, 44)) if A.field.q > 2 else (A,):
             for m in range(top + (B is A)):
@@ -852,6 +852,26 @@ def test_cochain_checks_its_coefficients():
         Cochain(A, 1, [1, 2, 3])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: Matrix(F3, [[1, bad]]),
+        lambda bad: Matrix(F3, np.array([[1, bad]]), copy=False),
+        lambda bad: Subspace(F3, 2, [[bad, 0]]),
+        lambda bad: Cochain(dual_numbers(F3), 0, [0, bad]),
+        lambda bad: homology(dual_numbers(F3), 1).express([0, bad]),
+        lambda bad: Algebra(F3, ["1"], [[[bad]]]),
+    ],
+    ids=["Matrix", "Matrix-nocopy", "Subspace", "Cochain", "express", "Algebra"],
+)
+def test_non_integer_scalars_are_rejected_not_truncated(build):
+    for bad in (1.7, 0.5, 1 + 0j, np.array(1, dtype=object)):
+        with pytest.raises(FieldMismatch):
+            build(bad)
+    build(1)  # integer and empty inputs pass
+    assert Matrix(F3, np.zeros((0, 2))).data.dtype == np.int64
+
+
 def test_cochains_over_different_algebras_differ():
     assert Cochain(dual_numbers(F3), 1, [1, 0]) != Cochain(dual_numbers(F5), 1, [1, 0])
     # one algebra built twice is the same algebra
@@ -1151,6 +1171,8 @@ def _builder_algebras():
     yield from _kernel_algebras()
     yield _dense_basis(truncated_polynomial(F5, 3), 41)
     yield _dense_basis(upper_triangular(F5, 2), 42)
+    yield _dense_basis(truncated_polynomial(F9, 3), 45)
+    yield _dense_basis(upper_triangular(F4, 2), 46)
 
 
 def test_differentials_match_scalar_reference():
