@@ -1,5 +1,5 @@
 """Exact linear algebra over small finite fields F_{p^r}: dense matrices,
-and row reduction on dense buffers or sparse rows.
+subspaces, row reductions and semilinear maps.
 
 Scalars are integer indices 0..p^r-1; the base-p digits of an index are the
 coefficients (constant term first) of the residue polynomial.  Everything is
@@ -7,30 +7,20 @@ deterministic: every route of row reduction gives the RREF, which is unique,
 so identical inputs always produce identical bases and representatives.
 
 Matrices are dense int64 numpy arrays of scalar indices; operands must share
-one field.  Row reduction works in place on one buffer in the narrowest of
-int16, int32 and int64 in which max(min(rows, cols), 1) (p-1)^2 + p fits
-(int16 over extension fields, whose entries are table indices below 512).
-Internal elimination consumes its buffer and keeps only the basis rows, as
-int64; `row_reduce` and `Subspace` reduce a copy.  Each answer costs one
-elimination, and none where the RREF is known: a kernel is one right-to-left
-reduction, RREF, rank and solver share one of [M | I] and a lone rank one of
-M, V & W is one Zassenhaus reduction, V/W takes V's basis rows at the pivots
-W lacks.  A small buffer, or one with at most 4 nonzeros a row, is reduced
-as sparse rows (see `sparse`), with no numpy call per column.  Over F_2 the dense
-elimination kernel packs each row into uint64 words and clears a pivot column
-with one vectorized XOR of the rows that hit it.  Over odd prime fields it
-updates only the columns right of the pivot and delays reduction mod p: each
-pivot reduces its column and its row, the trailing update has no `%`, and the
-trailing block is reduced only after (max - p) // (p-1)^2 updates, max the
-largest value of the buffer's type: in the type chosen above never, in int64
-at p = 2^31 - 1 every second update.  Matrix products over an extension field
-split both factors into base-p digit planes, multiply all plane pairs in one
-float64 product, and fold x^i x^j back into the power basis.  That fold is
-the one definition of the product: the operation tables of an extension
-field (add, sub, neg, mul, inverse, Frobenius) are built from it, and the
-scalar operations are the vector operations on single entries.  Prime fields
-are limited to p < 2^31, so every product of two reduced entries plus a
-reduced entry fits in int64.
+one field.  Every elimination is one call of `rref._echelon`, which leaves
+the matrix it is given as it is; a `Subspace` keeps an int64 copy of the
+basis rows.  Each answer costs one elimination, and none where the RREF is
+known: a kernel is one right-to-left reduction, RREF, rank and solver share
+one of [M | I] and a lone rank one of M, V & W is one Zassenhaus reduction,
+V/W takes V's basis rows at the pivots W lacks.
+
+Matrix products over an extension field split both factors into base-p digit
+planes, multiply all plane pairs in one float64 product, and fold x^i x^j
+back into the power basis.  That fold is the one definition of the product:
+the operation tables of an extension field (add, sub, neg, mul, inverse,
+Frobenius) are built from it, and the scalar operations are the vector
+operations on single entries.  Prime fields are limited to p < 2^31, so every
+product of two reduced entries plus a reduced entry fits in int64.
 
 The vector operations (solve, reduce, coordinates and lift) take one vector
 or a (k, n) block of row vectors and act row by row: a block is one matrix
@@ -49,7 +39,7 @@ from .errors import (
     NotASubspace,
     ReducibleModulus,
 )
-from .sparse import _entry_rows, _rref_rows, _sparse
+from .rref import _null_rows, _rref
 
 _MAX_EXT_ORDER = 512  # extension fields get dense q x q op tables
 _MAX_PRIME = 2**31  # (p-1)^2 + (p-1) < 2^63: int64 products stay exact
@@ -424,185 +414,20 @@ class Matrix:
 
 
 # -- row reduction --------------------------------------------------------
-# The kernels reduce the buffer they are given in place and return the pivot
-# columns.  A buffer holds reduced scalar indices in a signed integer type;
-# `_elimination_dtype` picks the narrowest one in which that stays exact.
 
 
-def _elimination_dtype(field, rows, cols):
-    """The narrowest of int16, int32 and int64 in which eliminating a rows x
-    cols matrix never wraps: over F_p each of at most min(rows, cols) pivots
-    subtracts at most (p-1)^2 from an entry in 0..p-1, so `_rref_prime` needs
-    no reduction mid-way.  Room for one update is kept even with no pivots,
-    which `_rref_prime` asks of every buffer and which keeps the product of
-    two entries exact.  Extension-field entries are indices below 512."""
-    if field.r > 1:
-        return np.dtype(np.int16)
-    bound = max(min(rows, cols), 1) * (field.p - 1) ** 2 + field.p
-    for t in (np.int16, np.int32):
-        if bound <= np.iinfo(t).max:
-            return np.dtype(t)
-    return np.dtype(np.int64)
-
-
-def _rref_gf2(R):
-    m, n = R.shape
-    if m == 0 or n == 0:
-        return []
-    # bit j of row i is bit j % 64 of word j // 64, little-endian throughout
-    nwords = (n + 63) // 64
-    packed = np.zeros((m, 8 * nwords), dtype=np.uint8)
-    bits = np.packbits(R.astype(bool), axis=1, bitorder="little")
-    packed[:, : bits.shape[1]] = bits
-    W = packed.view("<u8")
-    pivots = []
-    row = 0
-    for col in range(n):
-        w = col // 64
-        hit = np.flatnonzero(W[:, w] & np.uint64(1 << (col % 64)))
-        k = np.searchsorted(hit, row)
-        if k == hit.size:
-            continue
-        pr = hit[k]
-        # the pivot row is zero left of `col`, so words below w stay as they are
-        W[np.delete(hit, k), w:] ^= W[pr, w:]
-        if pr != row:
-            W[[row, pr]] = W[[pr, row]]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    # only the first `row` rows are nonzero
-    R[:row] = np.unpackbits(W[:row].view(np.uint8), axis=1, count=n, bitorder="little")
-    R[row:] = 0
-    return pivots
-
-
-def _rref_generic(field, R):
-    m, n = R.shape
-    pivots = []
-    row = 0
-    for col in range(n):
-        if row == m:
-            break
-        nz = np.flatnonzero(R[row:, col])
-        if nz.size == 0:
-            continue
-        pr = row + int(nz[0])
-        if pr != row:
-            R[[row, pr]] = R[[pr, row]]
-        # rows at and below `row` are zero left of `col`: only columns col.. change
-        piv = R[row, col:]
-        pv = int(piv[0])
-        if pv != 1:
-            piv[:] = field.vmul(field.inv(pv), piv)
-        others = np.flatnonzero(R[:, col])
-        others = others[others != row]
-        if others.size:
-            c = R[others, col]
-            R[others, col:] = field.vsub(R[others, col:], field.vmul(c[:, None], piv))
-        pivots.append(col)
-        row += 1
-    return pivots
-
-
-def _rref_prime(p, R):
-    """RREF over an odd prime field F_p with delayed reduction mod p.
-
-    Only the pivot column and the pivot row are reduced at each pivot; the
-    trailing update subtracts c * piv with no `%`.  Entries start in 0..p-1
-    and each update subtracts at most (p-1)^2, so `lazy` updates in a row
-    cannot wrap R's integer type; the trailing block is reduced before the
-    next one.  In the type `_elimination_dtype` picks, `lazy` is at least
-    the number of pivots, so that never happens.
-    """
-    m, n = R.shape
-    lazy = (int(np.iinfo(R.dtype).max) - p) // (p - 1) ** 2
-    if lazy < 1:
-        raise TypeError(f"{R.dtype} cannot hold one unreduced update mod {p}")
-    pivots = []
-    row = due = 0
-    for col in range(n):
-        if row == m:
-            break
-        below = np.flatnonzero(R[row:, col] % p)
-        if below.size == 0:
-            continue
-        pr = row + int(below[0])
-        c = R[:, col] % p
-        # rows at and below `row` are 0 mod p left of `col`: only columns col.. change
-        piv = R[pr, col:]
-        piv %= p
-        if c[pr] != 1:
-            piv *= pow(int(c[pr]), p - 2, p)
-            piv %= p
-        c[pr] = 0
-        others = np.flatnonzero(c)
-        if others.size:
-            if due == lazy:
-                R[:, col:] %= p
-                due = 0
-            R[others, col:] -= c[others, None] * piv
-            due += 1
-        if pr != row:
-            R[[row, pr]] = R[[pr, row]]
-        pivots.append(col)
-        row += 1
-    R %= p
-    return pivots
-
-
-def _rref(field, R):
-    """Reduce the buffer R to its RREF in place; returns the pivot columns.
-    A block `_sparse` picks is reduced as sparse rows by `_rref_rows`."""
-    if _sparse(*R.shape, np.count_nonzero(R)):
-        i, j = np.nonzero(R)
-        pivots, rows = _rref_rows(field, _entry_rows(field, i, j, R[i, j]), R.shape[1], R.dtype)
-        R[...] = 0
-        R[: len(pivots)] = rows
-        return pivots
-    if field.r > 1:
-        return _rref_generic(field, R)
-    if field.p == 2:
-        return _rref_gf2(R)
-    return _rref_prime(field.p, R)
-
-
-def _narrow_copy(field, data):
-    """An owned row-major copy of data in the type `_elimination_dtype` picks."""
-    return data.astype(_elimination_dtype(field, *data.shape), order="C")
-
-
-def _rref_right(field, R):
-    """Reduce the buffer R in place right to left, the RREF of its columns in
-    reverse order; returns the pivots q_i, one per nonzero row i, descending.
-    Row i is then 1 at q_i, zero right of it and zero at every other pivot."""
-    n = R.shape[1]
-    return [n - 1 - j for j in _rref(field, R[:, ::-1])]
-
-
-def _null_rows(field, R, pivots, free):
-    """The kernel vectors e_f - sum_i R[i, f] e_{q_i} of a matrix reduced right
-    to left into R with pivots q_i, one int64 row per free column f.  Each
-    leads at f; over all free columns, in order, they are the kernel's RREF."""
-    K = np.zeros((len(free), R.shape[1]), dtype=np.int64)
-    K[np.arange(len(free)), free] = 1
-    K[:, pivots] = field.vneg(R[: len(pivots)][:, free].T)
-    return K
-
-
-def _kernel(field, R):
-    """The kernel of the matrix in the owned buffer R, reduced in place."""
-    pivots = _rref_right(field, R)
-    free = sorted(set(range(R.shape[1])) - set(pivots))
-    return Subspace._of_buffer(field, R.shape[1], _null_rows(field, R, pivots, free), free)
+def _kernel(field, M):
+    """The kernel of the matrix M, from one right-to-left elimination."""
+    pivots, R = _rref(field, M, right=True)
+    free = sorted(set(range(M.shape[1])) - set(pivots))
+    return Subspace._of_rref(field, M.shape[1], _null_rows(field, R, pivots, free), free)
 
 
 class RowReduction:
     """A matrix M with its kernel, RREF, pivots, rank and a linear solver, at
-    one elimination per answer and none on construction: `kernel` reduces a
-    copy of M right to left on each read; `rref`, `pivots`, `rank` and `solve`
-    read one left-to-right reduction of [M | I], run on first use."""
+    one elimination per answer and none on construction: `kernel` reduces M
+    right to left on each read; `rref`, `pivots`, `rank` and `solve` read one
+    left-to-right reduction of [M | I], run on first use."""
 
     def __init__(self, matrix):
         if not isinstance(matrix, Matrix):
@@ -612,16 +437,16 @@ class RowReduction:
 
     @property
     def kernel(self):
-        F = self.matrix.field
-        return _kernel(F, _narrow_copy(F, self.matrix.data))
+        return _kernel(self.matrix.field, self.matrix.data)
 
     def _reduce(self):
         if self._transform is None:
             F, m, n = self.matrix.field, self.matrix.rows, self.matrix.cols
-            R = _narrow_copy(F, np.hstack([self.matrix.data, np.eye(m, dtype=np.int64)]))
-            # pivots in the identity columns never touch the left block, so it
-            # is RREF(M); the right block T has T M = RREF(M)
-            self._pivots = tuple(q for q in _rref(F, R) if q < n)
+            # [M | I] has rank m, so R has all its rows; pivots in the identity
+            # columns never touch the left block, so it is RREF(M), and the
+            # right block T has T M = RREF(M)
+            pivots, R = _rref(F, np.hstack([self.matrix.data, np.eye(m, dtype=np.int64)]))
+            self._pivots = tuple(q for q in pivots if q < n)
             self._rref = Matrix(F, R[:, :n])
             self._transform = R[:, n:]
         return self
@@ -647,8 +472,8 @@ class RowReduction:
 
 
 def _rank(matrix):
-    """The rank of a Matrix, from one elimination of a narrow copy of it."""
-    return len(_rref(matrix.field, _narrow_copy(matrix.field, matrix.data)))
+    """The rank of a Matrix, from one elimination of it."""
+    return len(_rref(matrix.field, matrix.data)[0])
 
 
 def row_reduce(matrix):
@@ -676,20 +501,18 @@ class Subspace:
             data = _in_range(field, _indices(rows))
         if data.ndim not in (1, 2) or data.shape[-1] != ambient_dim:
             raise AmbientMismatch(f"rows of shape {data.shape} in ambient of dim {ambient_dim}")
-        self._span(field, ambient_dim, _narrow_copy(field, np.atleast_2d(data)))
+        pivots, R = _rref(field, np.atleast_2d(data))
+        self._span(field, ambient_dim, R.astype(np.int64), pivots)  # a copy frees the buffer
 
     @classmethod
-    def _of_buffer(cls, field, ambient_dim, R, pivots=None):
-        """The row space of an owned (k, ambient_dim) buffer of scalar indices,
-        reduced in place; given its pivots, R is an int64 RREF and is the basis."""
+    def _of_rref(cls, field, ambient_dim, R, pivots):
+        """The row space of R, an owned int64 RREF with these pivots, which is
+        its basis."""
         self = cls.__new__(cls)
         self._span(field, ambient_dim, R, pivots)
         return self
 
-    def _span(self, field, ambient_dim, R, pivots=None):
-        if pivots is None:  # an owned int64 copy of the basis rows frees R
-            pivots = _rref(field, R)
-            R = R[: len(pivots)].astype(np.int64)
+    def _span(self, field, ambient_dim, R, pivots):
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = Matrix(field, R, copy=False)
@@ -697,7 +520,7 @@ class Subspace:
 
     @classmethod
     def full(cls, field, n):
-        return cls._of_buffer(field, n, np.eye(n, dtype=np.int64), range(n))
+        return cls._of_rref(field, n, np.eye(n, dtype=np.int64), range(n))
 
     @property
     def dim(self):
@@ -758,11 +581,9 @@ class Subspace:
         RREF basis of V & W, with pivots q - n."""
         self._check_ambient(other)
         F, n, V, W = self.field, self.ambient_dim, self.basis.data, other.basis.data
-        R = _narrow_copy(F, np.block([[V, V], [W, np.zeros_like(W)]]))
-        pivots = _rref(F, R)
+        pivots, R = _rref(F, np.block([[V, V], [W, np.zeros_like(W)]]))
         k = sum(q < n for q in pivots)
-        meet = R[k : len(pivots), n:].astype(np.int64)
-        return Subspace._of_buffer(F, n, meet, [q - n for q in pivots[k:]])
+        return Subspace._of_rref(F, n, R[k:, n:].astype(np.int64), [q - n for q in pivots[k:]])
 
     def quotient_basis(self, other):
         """Coset representatives of self/other; requires other <= self.  They
@@ -837,7 +658,7 @@ class SemilinearMap:
         lin = row_reduce(self.matrix).kernel
         # the Frobenius fixes 0 and 1: it keeps an RREF basis RREF, pivots and all
         shifted = self.field.vfrob(lin.basis.data, -self.twist)
-        return Subspace._of_buffer(self.field, self.matrix.cols, shifted, lin.pivots)
+        return Subspace._of_rref(self.field, self.matrix.cols, shifted, lin.pivots)
 
     def image(self):
         return Subspace(self.field, self.matrix.rows, self.matrix.data.T)

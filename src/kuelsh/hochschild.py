@@ -17,16 +17,14 @@ the degree-m space into its weight classes and, in one loop over them,
 reduce only the blocks of the outgoing and incoming maps on each.  Each
 map's nonzero entries are made once, a few thousand columns at a time, and
 dealt to the classes (`_dealt`); a dense basis has one class, which gets
-them all.  A block that `sparse._sparse` picks, small or with few entries a
-row, is reduced as sparse rows (`sparse._rref_rows`), and any other is
-filled from its entries into a buffer of the narrowest integer type in
-which its elimination is exact (see `fieldlin`).
-No cycle basis is built: a block's representatives are read off the
-right-to-left echelon form of its outgoing map, and one product checks that
-its boundaries are cycles.  A `HomologyBasis` keeps each block's boundary
-RREF in the block's own coordinates, one byte an entry up to q = 256, and
-lays out only the representatives in F^n, with their pivots; the cycles,
-their span, are derived.  The blocks' RREFs have disjoint supports, so the
+them all.  Each block goes to `rref._echelon` as its entries, which
+reduces it as sparse rows or in a dense buffer.  No cycle basis is built: a
+block's representatives are read off the right-to-left echelon form of its
+outgoing map, and one product checks that its boundaries are cycles.  A
+`HomologyBasis` keeps each block's boundary RREF in the block's own
+coordinates, one byte an entry up to q = 256, and lays out only the
+representatives in F^n, with their pivots; the cycles, their span, are
+derived.  The blocks' RREFs have disjoint supports, so the
 global boundaries, their union sorted by pivot and the RREF of the whole
 differential, are assembled as int64 only on request.  `boundary_matrix`
 and `coboundary_matrix` fill the whole differential from the same dealt
@@ -49,15 +47,13 @@ import math
 
 import numpy as np
 
-from . import fieldlin
+from . import rref
 from .algebra import BilinearForm
 from .errors import (
     AlgebraMismatch, DimensionMismatch, NotACocycle, NotACycle, NotASubspace, NotUnital,
 )
-from .fieldlin import (
-    Matrix, Subspace, _as_rows, _elimination_dtype, _entry_rows, _in_range, _indices, _null_rows,
-    _power, _rref_right, _rref_rows,
-)
+from .fieldlin import Matrix, Subspace, _as_rows, _in_range, _indices, _power
+from .rref import _addressable, _null_rows, _zeros
 
 
 def chain_dim(A, m):
@@ -152,20 +148,6 @@ def _slot_mul(F, M, x, before, after):
     rows, cols = M.shape
     x = x.reshape(before, cols, after).transpose(1, 0, 2).reshape(cols, before * after)
     return F.mat_mul(M, x).reshape(rows, before, after).transpose(1, 0, 2)
-
-
-def _addressable(rows, cols, dtype):
-    """Raise MemoryError for a rows x cols array of dtype whose byte count
-    numpy cannot even represent, where numpy would raise ValueError."""
-    dtype = np.dtype(dtype)
-    if rows * cols * dtype.itemsize > np.iinfo(np.intp).max:
-        raise MemoryError(f"cannot allocate a {rows} x {cols} {dtype} matrix")
-    return dtype
-
-
-def _zeros(rows, cols, dtype):
-    """A zero matrix of the integer type dtype, if addressable."""
-    return np.zeros((rows, cols), dtype=_addressable(rows, cols, dtype))
 
 
 def _disk_cache_path(A, kind, m):
@@ -296,7 +278,7 @@ class HomologyBasis:
     @property
     def boundaries(self):
         n = self.representatives.shape[1]
-        return Subspace._of_buffer(self.field, n, *_assemble(n, self.blocks))
+        return Subspace._of_rref(self.field, n, *_assemble(n, self.blocks))
 
     @property
     def cycles(self):
@@ -457,26 +439,6 @@ def _dealt(F, terms, classes, pos):
 _CHUNK = 2048
 
 
-def _echelon(F, i, j, v, shape, right):
-    """The RREF of the block of the given shape with entries v at (i, j):
-    its pivots and its rows, reduced right to left if `right` (as by
-    `_rref_right`).  A block `sparse._sparse` picks is reduced as sparse
-    rows by `_rref_rows`, any other in a dense buffer by the dense kernels."""
-    k, n = shape
-    dtype = _elimination_dtype(F, k, n)
-    if not k * n:  # a zero map: nothing to eliminate
-        return [], np.zeros((0, n), dtype)
-    if not fieldlin._sparse(k, n, len(v)):
-        R = _zeros(k, n, dtype)
-        R[i, j] = v
-        pivots = _rref_right(F, R) if right else fieldlin._rref(F, R)
-        return pivots, R
-    if right:
-        j = n - 1 - j.astype(np.int64)
-    pivots, R = _rref_rows(F, _entry_rows(F, i, j, v), n, dtype)
-    return ([n - 1 - q for q in pivots], R[:, ::-1]) if right else (pivots, R)
-
-
 def _homology_basis(A, m, terms, step):
     """Degree-m homology of the complex whose differential from degree k to
     k + step has the terms `terms(A, k)`, one weight class at a time.
@@ -487,7 +449,7 @@ def _homology_basis(A, m, terms, step):
     there meets a zero map, a block with no rows or no columns, which is not
     eliminated.  Each map's entries are made once and dealt to the classes
     by `_dealt`, all of them to the one class of a dense basis, and each
-    block is reduced by `_echelon`.
+    block is reduced by `rref._echelon`.
     The outgoing map is reduced right to left, to rows R with pivots
     q_i: the cycles' RREF rows are e_f - sum_i R[i, f] e_{q_i}, one per free
     column f, and are never built.  The incoming map is reduced transposed,
@@ -509,11 +471,11 @@ def _homology_basis(A, m, terms, step):
     for w, idx in mine.items():
         tgt, src = targets.get(w, none), sources.get(w, none)
         j, i, v = out.pop(w, nothing)  # a chunk's arrays go with its last class
-        q, R = _echelon(F, i, j, v, (len(tgt), len(idx)), True)
-        R = R[: len(q)].copy()  # frees the map's buffer
+        q, R = rref._echelon(F, i, j, v, (len(tgt), len(idx)), right=True)
+        R = R.copy()  # frees the map's buffer
         # dealt as (col, row, value): the incoming map's block, transposed
-        pivots, B = _echelon(F, *into.pop(w, nothing), (len(src), len(idx)), False)
-        B = B[: len(pivots)].astype(narrow)
+        pivots, B = rref._echelon(F, *into.pop(w, nothing), (len(src), len(idx)))
+        B = B.astype(narrow)
         if len(R) and len(B) and F.mat_mul(R, B.T).any():
             raise NotASubspace("quotient requires the second space inside the first")
         keep = sorted(set(range(len(idx))) - set(q) - set(pivots))

@@ -4,6 +4,7 @@ import io
 import itertools
 import os
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kuelsh import fieldlin
-from kuelsh.algebra import BilinearForm
-from kuelsh.catalog import truncated_polynomial
+from kuelsh import rref
+from kuelsh.algebra import BilinearForm, trivial_extension
+from kuelsh.catalog import dual_numbers, truncated_polynomial
 from kuelsh.errors import (
     AmbientMismatch,
     DimensionMismatch,
@@ -27,18 +28,12 @@ from kuelsh.fieldlin import (
     Matrix,
     SemilinearMap,
     Subspace,
-    _rref_generic,
-    _rref_gf2,
-    _elimination_dtype,
-    _rref,
-    _rref_prime,
-    _entry_rows,
-    _rref_rows,
     preimage,
     row_reduce,
 )
+from kuelsh.rref import _elimination_dtype, _rref_generic, _rref_gf2, _rref_prime, _rref_rows
 from kuelsh.degree0 import ppower_on_HH0
-from kuelsh.hochschild import Cochain, cup_power, homology, pairing
+from kuelsh.hochschild import Cochain, cohomology, cup_power, homology, pairing
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -728,7 +723,7 @@ def test_sparse_rows_kernel_matches_dense_kernels(F):
             view = want[:, ::-1] if flip else want
             pivots = dense(view)
             i, j = np.nonzero(X)
-            got, rows = _rref_rows(F, _entry_rows(F, i, j, X[i, j]), n, dtype)
+            got, rows = _rref_rows(F, i, j, X[i, j], n, dtype)
             assert got == pivots, (m, n, flip)
             assert rows.dtype == dtype and rows.shape == (len(pivots), n)
             assert rows.tolist() == view[: len(pivots)].tolist() and not view[len(pivots):].any()
@@ -741,7 +736,6 @@ WIDE_PRIMES = [FiniteField(p) for p in (191, 46349, 2**31 - 1)]
     "F", [F2, F3, F5, F7, F4, F9] + WIDE_PRIMES, ids=repr
 )
 def test_elimination_dtype_is_narrowest_exact(F):
-    rng = random.Random(F.q)
     for rows, cols in [(0, 5), (5, 0), (1, 1), (10, 300), (300, 10), (2000, 3000)]:
         dtype = _elimination_dtype(F, rows, cols)
         if F.r > 1:
@@ -752,10 +746,67 @@ def test_elimination_dtype_is_narrowest_exact(F):
             assert bound <= np.iinfo(dtype).max or dtype == np.int64
             narrower = [t for t in NARROW if np.iinfo(t).max < np.iinfo(dtype).max]
             assert all(bound > np.iinfo(t).max for t in narrower)
-        if rows * cols <= 3000:
-            # and the kernel for this field accepts the buffer it is given
-            data = rand_rank(F, rows, cols, min(rows, cols), rng)
-            check_kernel(F, lambda d: _rref(F, d), data, min(rows, cols), (dtype,))
+
+
+ECHELON_SHAPES = [(0, 0), (0, 5), (5, 0), (1, 1), (4, 9), (9, 4), (30, 70), (70, 30)]
+
+
+@pytest.mark.parametrize("F", [F2, F3, F5, F4, F9] + WIDE_PRIMES, ids=repr)
+def test_echelon_matches_reference(F):
+    # the one entry point gives the reference RREF's pivots and rows, one per
+    # pivot, in the type `_elimination_dtype` picks, on either route, left to
+    # right and right to left (the RREF of the reversed columns, read back),
+    # on empty, rank-deficient and full shapes
+    rng = random.Random(23 * F.q)
+    for data, rank in kernel_cases(F, rng, ECHELON_SHAPES):
+        m, n = data.shape
+        i, j = np.nonzero(data)
+        for sparse, right in itertools.product((False, True), repeat=2):
+            ref, piv = ref_rref(F, (data[:, ::-1] if right else data).tolist(), n)
+            want = np.array(ref, dtype=np.int64).reshape(m, n)[:rank]
+            if right:
+                want, piv = want[:, ::-1], [n - 1 - q for q in piv]
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(rref, "_sparse", lambda *shape: sparse)
+                pivots, rows = rref._echelon(F, i, j, data[i, j], (m, n), right)
+            where = (m, n, rank, sparse, right)
+            assert pivots == piv, where
+            assert rows.dtype == _elimination_dtype(F, m, n), where
+            assert rows.shape == (rank, n) and rows.tolist() == want.tolist(), where
+
+
+KERNELS = ("_rref_rows", "_rref_gf2", "_rref_prime", "_rref_generic")
+
+
+def test_kernels_are_reached_only_through_echelon(monkeypatch):
+    # every elimination, of the small-matrix layer, a lone rank and homology,
+    # is one call of `rref._echelon`: each kernel, at every binding in the
+    # package, is called from its frame alone, and every kernel is reached
+    callers = []
+    package = [m for k, m in sys.modules.items() if k == "kuelsh" or k.startswith("kuelsh.")]
+    for name in KERNELS:
+        real = getattr(rref, name)
+
+        def spy(*args, real=real, name=name):
+            callers.append((name, sys._getframe(1).f_code))
+            return real(*args)
+
+        for module in package:
+            if vars(module).get(name) is real:
+                monkeypatch.setattr(module, name, spy)
+    rng = random.Random(41)
+    for F in (F2, F3, F4):
+        for m, n in ((3, 4), (40, 45)):  # a small block is sparse, this dense one not
+            M = Matrix(F, rand_rank(F, m, n, m - 1, rng))
+            red = row_reduce(M)
+            red.kernel, red.rank, red.solve(M.data[:, 0])
+            V, W = Subspace(F, n, M), Subspace(F, n, rand_rank(F, m, n, m, rng))
+            V & W
+            SemilinearMap(M, 1).kernel(), SemilinearMap(M, 1).rank
+    TA = trivial_extension(dual_numbers(F3)).algebra
+    homology(TA, 5), cohomology(TA, 5)
+    assert {name for name, _ in callers} == set(KERNELS)
+    assert all(code is rref._echelon.__code__ for _, code in callers)
 
 
 @pytest.mark.parametrize("F", WIDE_PRIMES, ids=repr)
@@ -858,14 +909,15 @@ def ref_intersection(V, W):
 
 
 def ref_solve(F, data, b):
-    """Mx = b by an int64 elimination of [M | I]: its right block T has
+    """Mx = b by an elimination of [M | I]: its right block T has
     T M = RREF(M), so x is T b at the pivots, or None when T b is nonzero
     past the rank."""
     m, n = data.shape
     aug = np.hstack([data, np.eye(m, dtype=np.int64)])
-    _rref(F, aug)
+    i, j = np.nonzero(aug)
+    _, R = rref._echelon(F, i, j, aug[i, j], aug.shape)
     piv = ref_rref(F, data.tolist(), n)[1]
-    y = F.mat_mul(b, aug[:, n:].T)
+    y = F.mat_mul(b, R[:, n:].astype(np.int64).T)
     if y[..., len(piv) :].any():
         return None
     x = np.zeros(b.shape[:-1] + (n,), dtype=np.int64)
@@ -946,16 +998,23 @@ def test_twisted_kernel_matches_reelimination(F):
                 assert all(not S.apply(v).any() for v in ker.basis.data)
 
 
+def _spy_echelon(monkeypatch, record):
+    """Call record(shape) for each block `rref._echelon` eliminates; a
+    zero-size block needs no elimination and is not counted."""
+    real = rref._echelon
+
+    def spy(F, i, j, v, shape, right=False):
+        if shape[0] * shape[1]:
+            record(shape)
+        return real(F, i, j, v, shape, right)
+
+    monkeypatch.setattr(rref, "_echelon", spy)
+
+
 def test_each_answer_makes_one_elimination(monkeypatch):
     # construction eliminates nothing, each answer once, known RREFs never
     shapes = []
-    real = fieldlin._rref
-
-    def spy(F, R):
-        shapes.append(R.shape)
-        return real(F, R)
-
-    monkeypatch.setattr(fieldlin, "_rref", spy)
+    _spy_echelon(monkeypatch, shapes.append)
 
     def count(f):
         shapes.clear()
@@ -988,8 +1047,8 @@ def test_rank_reads_eliminate_only_the_matrix(monkeypatch):
     from kuelsh.degree0 import kappa_n_direct
 
     calls = []
-    real, gram = fieldlin._rref, kuelsh.cli.gram_matrix
-    monkeypatch.setattr(fieldlin, "_rref", lambda F, R: calls.append(R.shape) or real(F, R))
+    gram = kuelsh.cli.gram_matrix
+    _spy_echelon(monkeypatch, calls.append)
     monkeypatch.setattr(
         kuelsh.cli, "gram_matrix", lambda *a: calls.append("gram") or gram(*a)
     )

@@ -28,17 +28,17 @@ from kuelsh.catalog import (
     truncated_polynomial,
     upper_triangular,
 )
-from kuelsh import fieldlin, hochschild
+from kuelsh import hochschild, rref
 from kuelsh.degree0 import center, commutator_space, hh0_data
 from kuelsh.kappa import kappa_hat
 from kuelsh.errors import DimensionMismatch, FieldMismatch, NotACocycle, NotACycle, NotUnital
 from kuelsh.fieldlin import FiniteField, Matrix, Subspace, row_reduce
+from kuelsh.rref import _zeros
 from kuelsh.hochschild import (
     Cochain,
     _grading,
     _homology_basis,
     _weight_classes,
-    _zeros,
     boundary_apply,
     boundary_matrix,
     chain_dim,
@@ -314,12 +314,18 @@ def _nonempty_blocks(A, m, cochains):
 
 
 def _spy_eliminations(monkeypatch, record):
-    """Call record(n) with the width n of each block eliminated, by either
-    kernel: `fieldlin._rref` on a dense buffer or `_rref_rows` on the sparse
-    rows `_echelon` builds (`_rref`'s own calls to it are not counted)."""
-    rref, rows = fieldlin._rref, hochschild._rref_rows
-    monkeypatch.setattr(fieldlin, "_rref", lambda F, R: record(R.shape[1]) or rref(F, R))
-    monkeypatch.setattr(hochschild, "_rref_rows", lambda F, X, n, t: record(n) or rows(F, X, n, t))
+    """Call record(n, route) for each block eliminated, with its width n and
+    route "sparse" or "dense", as `rref._echelon`, the one entry point of
+    every elimination, picks it; a zero-size block needs no elimination and
+    is not counted."""
+    echelon = rref._echelon
+
+    def spy(F, i, j, v, shape, right=False):
+        if shape[0] * shape[1]:
+            record(shape[1], "sparse" if rref._sparse(*shape, len(v)) else "dense")
+        return echelon(F, i, j, v, shape, right)
+
+    monkeypatch.setattr(rref, "_echelon", spy)
 
 
 def test_homology_eliminates_each_differential_once(monkeypatch):
@@ -333,7 +339,7 @@ def test_homology_eliminates_each_differential_once(monkeypatch):
     TA = trivial_extension(dual_numbers(F3)).algebra
     calls = []
     mat_mul = FiniteField.mat_mul
-    _spy_eliminations(monkeypatch, lambda n: calls.append("rref"))
+    _spy_eliminations(monkeypatch, lambda n, route: calls.append("rref"))
     monkeypatch.setattr(FiniteField, "mat_mul", lambda *a: calls.append("mul") or mat_mul(*a))
     monkeypatch.setattr(Subspace, "quotient_basis", lambda *a: calls.append("quotient"))
     for m in range(1, 5):
@@ -356,10 +362,9 @@ def test_blocks_go_to_the_kernel_their_sparsity_picks(monkeypatch):
     # sends some blocks to each kernel; a dense basis deals one list per
     # differential to its one class and sends each block to the dense kernel
     calls = []
-    dealt, rows, prime = hochschild._dealt, hochschild._rref_rows, fieldlin._rref_prime
+    dealt = hochschild._dealt
     monkeypatch.setattr(hochschild, "_dealt", lambda *a: calls.append("dealt") or dealt(*a))
-    monkeypatch.setattr(hochschild, "_rref_rows", lambda *a: calls.append("sparse") or rows(*a))
-    monkeypatch.setattr(fieldlin, "_rref_prime", lambda *a: calls.append("dense") or prime(*a))
+    _spy_eliminations(monkeypatch, lambda n, route: calls.append(route))
     TA = trivial_extension(dual_numbers(F3)).algebra
     for H in (homology, cohomology):
         calls.clear()
@@ -375,7 +380,7 @@ def test_blocks_go_to_the_kernel_their_sparsity_picks(monkeypatch):
 def _routed_bases(A, m, sparse):
     """HH_m and HH^m of A with every block on one route: `sparse` decides."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fieldlin, "_sparse", lambda *shape: sparse)
+        patch.setattr(rref, "_sparse", lambda *shape: sparse)
         return [_homology_basis(A, m, hochschild._boundary_terms, -1),
                 _homology_basis(A, m, hochschild._coboundary_terms, 1)]
 
@@ -717,7 +722,7 @@ def test_graded_homology_eliminates_no_whole_differential(monkeypatch):
     # class of 972 chains or cochains in degree 5 has 110, on either kernel
     TA = trivial_extension(dual_numbers(F3)).algebra
     widths = []
-    _spy_eliminations(monkeypatch, widths.append)
+    _spy_eliminations(monkeypatch, lambda n, route: widths.append(n))
     for H in (homology, cohomology):
         widths.clear()
         H(TA, 5)

@@ -31,8 +31,11 @@ Each child runs with one BLAS thread under a 3 GB RLIMIT_AS, set on the child
 only, and its peak RSS is read from `os.wait4` on both sides.  Prints each
 differing run, then the five largest increases in peak RSS and the five
 largest decreases, then the wall time and peak RSS of the large runs on
-both sides, then `N runs, D differ`, and exits 1 when D > 0: only stdout and
-exit codes count.  The `bench/` modules are imported, never written.
+both sides, then the median peak RSS and wall time of `python -c "import
+kuelsh.cli"` on each side over 10 runs, alternating between the trees (the
+floor of every process), then `N runs, D differ`, and exits 1 when D > 0:
+only stdout and exit codes of the compared runs count.  The `bench/` modules
+are imported, never written.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from __future__ import annotations
 import glob
 import os
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -74,22 +78,23 @@ WALLS = (
 DENSE_WALL = ("hh", ("T_dual_f3", True), "--max-degree", "6", "--force")  # a benchmark spec
 MEMORY_LIMIT = 3 * 2**30
 TIMEOUT_S = 600
+IMPORT_RUNS = 10
 
 
 def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
-def run(tree, argv, cwd):
+def run(tree, argv, cwd, python=("-m", "kuelsh.cli")):
     """(exit code, stdout, peak RSS in MB, wall seconds) of `python -m
-    kuelsh.cli argv` on tree's sources; the child is reaped by `os.wait4` for
-    its rusage."""
+    kuelsh.cli argv`, or of python with other leading arguments, on tree's
+    sources; the child is reaped by `os.wait4` for its rusage."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONHASHSEED="0")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     start = time.perf_counter()
     proc = subprocess.Popen(
-        [sys.executable, "-m", "kuelsh.cli", *argv],
+        [sys.executable, *python, *argv],
         env=env,
         cwd=cwd,
         stdout=subprocess.PIPE,
@@ -153,6 +158,13 @@ def main(argv=None):
         for rise, before, after, shown in ranked[:5] + ranked[:-6:-1]:
             print(f"peak RSS {rise:+.1f} MB ({before:.1f} -> {after:.1f}): {shown}")
         print(*walls, sep="\n")
+        starts = [[], []]  # (peak RSS, wall) of the parent's runs, then of this tree's
+        for _ in range(IMPORT_RUNS):
+            for tree, times in zip((parent, ROOT), starts):
+                times.append(run(tree, [], work, ("-c", "import kuelsh.cli"))[2:])
+        (old_rss, old_wall), (rss, wall) = (map(statistics.median, zip(*t)) for t in starts)
+        print(f"import kuelsh.cli, median of {IMPORT_RUNS}: {old_wall * 1e3:.1f} ms, "
+              f"{old_rss:.2f} MB -> {wall * 1e3:.1f} ms, {rss:.2f} MB")
         print(f"{len(runs)} runs, {differ} differ")
     return 1 if differ else 0
 
